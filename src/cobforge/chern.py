@@ -12,10 +12,9 @@ cross-check for every closed form in :mod:`cobforge.milnor`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-from .arith import binomial
 
 Monomial = tuple[int, ...]
 
@@ -45,10 +44,6 @@ class TruncatedPoly:
             if c and all(e <= m for e, m in zip(exps, self.bounds)):
                 clean[exps] = int(c)
         self.coeffs = clean
-
-    @classmethod
-    def zero(cls, bounds: Iterable[int]) -> "TruncatedPoly":
-        return cls(bounds)
 
     @classmethod
     def constant(cls, bounds: Iterable[int], c: int) -> "TruncatedPoly":
@@ -157,13 +152,6 @@ class TruncatedPoly:
             mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e) or "1"
             parts.append(f"{self.coeffs[exps]}*{mono}")
         return f"TruncatedPoly({self.bounds}, {' + '.join(parts)})"
-
-
-def poly_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    """Product in the truncated ring; the factors must share bounds."""
-    if not isinstance(b, TruncatedPoly) or a.bounds != b.bounds:
-        raise ValueError("mismatched variable bounds")
-    return a * b
 
 
 def poly_inverse(a: TruncatedPoly) -> TruncatedPoly:
@@ -275,19 +263,18 @@ def integrate_top(omega: TruncatedPoly) -> int:
     return omega.coeffs.get(omega.bounds, 0)
 
 
-def fiber_integral(omega: TruncatedPoly, v_power: int, spec: ProjBundleSpec) -> int:
-    """Pair omega * v^l against the fundamental class of the projectivisation.
+def fiber_integral(omega: TruncatedPoly, spec: ProjBundleSpec) -> int:
+    """Pair sum_d omega_d * v^(N-d) against the fundamental class of P(E).
 
-    Pushing forward to the base turns v^l into the total Segre class of the
-    bundle, so the pairing is the top coefficient of omega times the inverse
-    total Chern class.  Requires l at least the fiber dimension; below that
-    the push-forward vanishes and the formula does not apply.
+    N is the total dimension, B the base dimension and omega_d the degree-d
+    part of omega.  Pushing v^(N-d) forward to the base gives the
+    degree-(B-d) part of the total Segre class, so the pairing is the top
+    coefficient of omega times the inverse total Chern class.  This holds
+    for every omega: parts of degree above B vanish on the base.
     """
     if omega.bounds != spec.base_dims:
         raise ValueError("omega must live on the base ring of the bundle")
-    if v_power < spec.fiber_dim:
-        raise ValueError("fiber integration needs v power >= fiber dimension")
-    return integrate_top(poly_mul(omega, poly_inverse(total_chern(spec))))
+    return integrate_top(omega * poly_inverse(total_chern(spec)))
 
 
 def milnor_projectivisation(spec: ProjBundleSpec) -> int:
@@ -295,11 +282,13 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
 
     The Chern roots of the stable tangent bundle are sum(d_i x_i) + v for
     each summand, -v for the conjugated trivial summand, and the roots of the
-    base tangent bundle.  Each n-th power is expanded binomially in v and
-    fiber-integrated term by term; terms whose base degree exceeds the sum of
-    the base dimensions vanish in the truncated ring.  The base roots are x_i
-    with multiplicity m_i + 1, so their n-th powers vanish exactly when n
-    exceeds every base dimension, which is required here.
+    base tangent bundle.  Since (root + v)^N = sum_i C(N, i) root^i v^(N-i)
+    is the v-weighting ``fiber_integral`` gives to (1 + root)^N, the power
+    sum is one pairing of P = sum (1 + root)^N, plus (-1)^N for the
+    conjugated trivial summand; equal summands are grouped by multiplicity.
+    The base roots are x_i with multiplicity m_i + 1, so their N-th powers
+    vanish exactly when N exceeds every base dimension, which is required
+    here.
     """
     n = spec.total_dim
     if n < 2:
@@ -309,18 +298,7 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
             "base tangent contribution not implemented: need n > every base dimension"
         )
     bounds = spec.base_dims
-    total = 0
-    for degrees in spec.summands:
-        root = TruncatedPoly.linear_form(bounds, degrees)
-        power = TruncatedPoly.one(bounds)
-        for i in range(n + 1):
-            if i > 0:
-                power = power * root
-                if power.is_zero():
-                    break
-            if n - i >= spec.fiber_dim:
-                total += binomial(n, i) * fiber_integral(power, n - i, spec)
-    if spec.conjugated_trivial:
-        sign = -1 if n % 2 else 1
-        total += sign * fiber_integral(TruncatedPoly.one(bounds), n, spec)
-    return total
+    pairing = TruncatedPoly.constant(bounds, (-1) ** n if spec.conjugated_trivial else 0)
+    for degrees, mult in Counter(spec.summands).items():
+        pairing = pairing + mult * (1 + TruncatedPoly.linear_form(bounds, degrees)) ** n
+    return fiber_integral(pairing, spec)

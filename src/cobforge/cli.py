@@ -9,7 +9,7 @@ integers cannot lose precision.
 
 Exit codes: 0 all checks passed, 1 domain error or failed check, 2 usage.
 The environment variable COBFORGE_MAX_N caps the oracle sweep size of the
-``reproduce`` command (default 16).
+``reproduce`` command (default 32, at least 2).
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ EQUIV_PRODUCT_RANGE = range(4, 7)
 
 
 def _sweep_top() -> int:
-    return int(os.environ.get("COBFORGE_MAX_N", "16"))
+    top = int(os.environ.get("COBFORGE_MAX_N", "32"))
+    if top < 2:
+        raise ValueError(f"COBFORGE_MAX_N must be >= 2, got {top}")
+    return top
 
 
 def _report(command: str, inputs: dict, outputs: dict, checks: list[dict]) -> dict:
@@ -84,15 +87,18 @@ def _plan_document(plan: planner.ModificationPlan) -> dict:
 
 
 def _plan_from_document(doc: dict) -> planner.ModificationPlan:
-    n = int(doc["n"])
-    a = int(doc["a"])
-    return planner.ModificationPlan(
-        n=n,
-        base=chern.adjustable_base_spec(n, a),
-        base_milnor=int(doc["base_milnor"]),
-        counts=tuple(int(c) for c in doc["counts"]),
-        predicted_milnor=int(doc["predicted_milnor"]),
-    )
+    try:
+        n = int(doc["n"])
+        a = int(doc["a"])
+        return planner.ModificationPlan(
+            n=n,
+            base=chern.adjustable_base_spec(n, a),
+            base_milnor=int(doc["base_milnor"]),
+            counts=tuple(int(c) for c in doc["counts"]),
+            predicted_milnor=int(doc["predicted_milnor"]),
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed plan document: {exc}") from exc
 
 
 def cmd_milnor(args: argparse.Namespace) -> int:
@@ -299,7 +305,7 @@ def cmd_polytope_rigidity(args: argparse.Namespace) -> int:
     return _finish(report, args.json)
 
 
-def _reproduce_checks() -> tuple[list[dict], dict]:
+def _reproduce_checks(top: int) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     outputs: dict = {}
 
@@ -317,7 +323,6 @@ def _reproduce_checks() -> tuple[list[dict], dict]:
         divisible = all(milnor.s_kn(n, k) % p == 0 for k in range(n - 1))
         checks.append(_check(f"divisibility_by_{p}_n{n}", divisible))
 
-    top = _sweep_top()
     agree = all(
         milnor.s_dkn(n, k) == chern.milnor_projectivisation(chern.dkn_spec(n, k))
         for n in range(2, top + 1)
@@ -353,9 +358,10 @@ def _reproduce_checks() -> tuple[list[dict], dict]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    checks, outputs = _reproduce_checks()
+    top = _sweep_top()
+    checks, outputs = _reproduce_checks(top)
     passed = sum(1 for c in checks if c["passed"])
-    report = _report("reproduce", {"max_n": _sweep_top()}, outputs, checks)
+    report = _report("reproduce", {"max_n": top}, outputs, checks)
     status = _finish(report, args.json)
     print(f"reproduce: {passed}/{len(checks)} checks passed")
     return status
@@ -450,7 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

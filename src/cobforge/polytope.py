@@ -486,7 +486,17 @@ def to_dict(p: SimplePolytope) -> dict:
 
 
 def from_dict(data: dict) -> SimplePolytope:
+    """Inverse of ``to_dict``; a document of the wrong shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("polytope document must be a JSON object")
     try:
-        return SimplePolytope(data["dim"], data["facets"], data["vertices"])
+        dim, facets, vertices = data["dim"], data["facets"], data["vertices"]
     except KeyError as exc:
         raise ValueError(f"polytope document missing field {exc}") from exc
+    if type(dim) is not int or type(facets) is not int:
+        raise ValueError("polytope document: dim and facets must be integers")
+    if not isinstance(vertices, list) or not all(
+        isinstance(v, list) and all(type(f) is int for f in v) for v in vertices
+    ):
+        raise ValueError("polytope document: vertices must be a list of integer lists")
+    return SimplePolytope(dim, facets, vertices)

@@ -165,6 +165,28 @@ def test_polytope_apply_plan(tmp_path):
     doc["predicted_milnor"] = "99"
     plan_file.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
+    # base_milnor must be the Milnor number of the base the twist a describes
+    doc.update(a=50, base_milnor="21", predicted_milnor=str(21 - 10))
+    plan_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["polytope", "hvec", "--infile"], {"dim": 3, "facets": 4, "vertices": 5}),
+        (["polytope", "hvec", "--infile"], {"dim": 3, "facets": 4, "vertices": [[0, 1, "2"]]}),
+        (["polytope", "hvec", "--infile"], [3, 4]),
+        (["polytope", "apply-plan", "--plan"], {"n": None, "a": 1}),
+        (["polytope", "apply-plan", "--plan"], [4, 1]),
+    ],
+)
+def test_malformed_documents_exit_one(tmp_path, capsys, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_polytope_rigidity(tmp_path):
@@ -184,6 +206,24 @@ def test_reproduce_passes(tmp_path, monkeypatch, capsys):
     assert report["inputs"]["max_n"] == 8
     assert report["checks"] and all(c["passed"] for c in report["checks"])
     assert "checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_reproduce_rejects_empty_oracle_sweep(monkeypatch, capsys, value):
+    monkeypatch.setenv("COBFORGE_MAX_N", value)
+    assert main(["reproduce"]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error: COBFORGE_MAX_N") and captured.err.count("\n") == 1
+
+
+def test_arithmetic_error_exits_one(monkeypatch, capsys):
+    def failing_witness(n, p):
+        raise ArithmeticError("witness residue vanished")
+
+    monkeypatch.setattr(cli.milnor, "witness_k", failing_witness)
+    assert main(["witness", "--n", "14", "--p", "5"]) == 1
+    assert capsys.readouterr().err == "error: witness residue vanished\n"
 
 
 def test_reproduce_detects_corrupted_table(monkeypatch):

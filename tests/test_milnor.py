@@ -1,7 +1,6 @@
 import pytest
 
 from cobforge.arith import binomial, prime_power_check
-from cobforge.chern import dkn_spec, milnor_projectivisation
 from cobforge.milnor import (
     L_kn,
     MilnorTable,
@@ -106,12 +105,6 @@ def test_L_even_factorization():
         for k in range(2, n - 1):
             factored = -(2**k + 1) * (1 + (-1) ** (k + 1) * binomial(n, k))
             assert L_kn(n, k) == factored, (n, k)
-
-
-def test_oracle_equivalence_sweep():
-    for n in range(2, 17):
-        for k in range(n - 1):
-            assert s_dkn(n, k) == milnor_projectivisation(dkn_spec(n, k)), (n, k)
 
 
 def test_coprimality_pinned():

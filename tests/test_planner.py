@@ -88,6 +88,13 @@ def test_verify_plan_detects_tampering():
     assert not verify_plan(tampered)
     wrong_total = dataclasses.replace(plan, predicted_milnor=2)
     assert not verify_plan(wrong_total)
+    # the sum identity still holds; only the oracle on the base can object
+    shifted = dataclasses.replace(
+        plan,
+        base_milnor=plan.base_milnor + 1000,
+        predicted_milnor=plan.predicted_milnor + 1000,
+    )
+    assert not verify_plan(shifted)
 
 
 def test_plan_shape_validation():
