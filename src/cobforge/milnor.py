@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import base_p_digits, binomial, is_prime, prime_power_check
+from .arith import base_p_digits, binomial, binomial_mod_p, is_prime, prime_power_check
 
 
 def _check_range(n: int, k: int, k_min: int = 0) -> None:
@@ -106,7 +106,10 @@ def witness_k(n: int, p: int) -> tuple[int, int]:
     n (it exists, else n+1 would be a power of p).  For k = p^j the digit
     product rule gives C(n,k) = n_j mod p, which rules out the binomial
     factor of L_kn vanishing; if 2^k = -1 mod p would kill the other factor,
-    k+1 works instead.  The returned residue is verified nonzero.
+    k+1 works instead.  The residue is read off the even-n factorization
+    L_kn = -(2^k + 1) * (1 + (-1)^(k+1) * C(n,k)) with C(n,k) mod p taken by
+    the same digit rule (``binomial_mod_p``), so no big binomial is formed;
+    it is verified nonzero.
     """
     if n % 2:
         raise ValueError("witness search applies to even n only")
@@ -129,7 +132,7 @@ def witness_k(n: int, p: int) -> tuple[int, int]:
         k += 1
     if not 2 <= k <= n - 2:  # the case analysis guarantees this range
         raise ArithmeticError(f"witness k={k} fell outside [2, {n - 2}]")
-    residue = L_kn(n, k) % p
+    residue = -(pow(2, k, p) + 1) * (1 + (-1) ** (k + 1) * binomial_mod_p(n, k, p)) % p
     if residue == 0:  # unreachable by the case analysis; guard anyway
         raise ArithmeticError(f"L_kn({n},{k}) unexpectedly divisible by {p}")
     return k, residue

@@ -77,8 +77,11 @@ def construct_plan(n: int) -> ModificationPlan:
     """Plan reaching Milnor number 1 in even dimension n, n+1 not a prime power.
 
     The solver basis is the negated s_kn row reordered so that the positive
-    entry -s_kn(n, 1) = n+1 comes first; the base twist a is the smallest
-    positive integer for which (n+1)*a - 1 decomposes.
+    entry -s_kn(n, 1) = n+1 comes first.  The base twist is a = 1, so the
+    target is (n+1)*a - 1 = n.  The row has gcd 1 and, for every admissible
+    even n <= 100 (checked in the tests), a negative entry, so
+    ``frobenius.represent`` decomposes any target and no larger twist is
+    needed.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
@@ -90,22 +93,14 @@ def construct_plan(n: int) -> ModificationPlan:
 
     ks = [1, 0] + list(range(2, n - 1))
     basis = [-milnor.s_kn(n, k) for k in ks]
-    a = 0
-    while True:
-        a += 1
-        target = (n + 1) * a - 1
-        try:
-            rep = frobenius.represent(target, basis)
-            break
-        except ValueError:
-            continue
+    rep = frobenius.represent(n, basis)
 
     counts = [0] * (n - 1)
     for pos, k in enumerate(ks):
         counts[k] = rep.coefficients[pos]
 
-    base = chern.adjustable_base_spec(n, a)
-    base_milnor = (n + 1) * a
+    base = chern.adjustable_base_spec(n, 1)
+    base_milnor = n + 1
     predicted = base_milnor + sum(c * milnor.s_kn(n, k) for k, c in enumerate(counts))
     return ModificationPlan(
         n=n,

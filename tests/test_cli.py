@@ -171,6 +171,69 @@ def test_polytope_apply_plan(tmp_path):
     assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
 
 
+def test_polytope_apply_plan_checks_closed_form(tmp_path, monkeypatch, capsys):
+    plan_file = tmp_path / "plan.json"
+    doc = {"n": 4, "a": 1, "base_milnor": "5", "counts": [1, 0, 0], "predicted_milnor": "-5"}
+    plan_file.write_text(json.dumps(doc), encoding="utf-8")
+    base = polytope.product(
+        polytope.product(polytope.simplex(1), polytope.simplex(1)), polytope.simplex(2)
+    )
+    monkeypatch.setattr(cli.polytope, "apply_plan", lambda plan: base)
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
+    assert "[FAIL] vertex_count_closed_form" in capsys.readouterr().out
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """Small input documents for every subcommand, keyed by placeholder name."""
+    s = polytope.simplex(3)
+    q = polytope.cut_vertex(s, 0)
+    cube = polytope.product(
+        polytope.product(polytope.simplex(1), polytope.simplex(1)), polytope.simplex(1)
+    )
+    paths = {name: tmp_path / f"{name}.json" for name in ("simplex", "cut", "cube", "plan")}
+    write_polytope(paths["simplex"], s)
+    write_polytope(paths["cut"], q)
+    write_polytope(paths["cube"], cube)
+    doc = {"n": 4, "a": 1, "base_milnor": "5", "counts": [1, 0, 0], "predicted_milnor": "-5"}
+    paths["plan"].write_text(json.dumps(doc), encoding="utf-8")
+    gverts = [v for v in q.vertices if s.facet_count in v]
+    edge = ",".join(str(f) for f in sorted(frozenset.intersection(*gverts[1:])))
+    return {**{name: str(path) for name, path in paths.items()}, "edge": edge}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "milnor --n 4 --k 2 --oracle",
+        "gcd-check --n 14",
+        "gcd-check --n 4",
+        "witness --n 14 --p 5",
+        "plan --n 14",
+        "polytope cut-vertex --infile {simplex} --vertex 0",
+        "polytope cut-face --infile {cut} --facets {edge}",
+        "polytope iso --first {simplex} --second {simplex}",
+        "polytope iso --first {simplex} --second {cube}",
+        "polytope hvec --infile {cut}",
+        "polytope apply-plan --plan {plan}",
+        "polytope rigidity --n 3",
+        "reproduce",
+    ],
+)
+def test_report_contract(tmp_path, monkeypatch, capsys, cli_inputs, argv):
+    monkeypatch.setenv("COBFORGE_MAX_N", "4")
+    out = tmp_path / "report.json"
+    words = argv.format(**cli_inputs).split()
+    rc = main(words + ["--json", str(out)])
+    report = read_json(out)
+    assert set(report) == {"command", "inputs", "outputs", "checks"}
+    assert report["command"] == argv.split(" --")[0]
+    passed = [c["passed"] for c in report["checks"]]
+    assert report["checks"] and (rc == 0) == all(passed)
+    summary = f"{report['command']}: {sum(passed)}/{len(passed)} checks passed"
+    assert summary in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv, document",
     [

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from cobforge.arith import prime_power_check
 from cobforge.chern import adjustable_base_spec, milnor_projectivisation
 from cobforge.milnor import s_kn
 from cobforge.planner import (
@@ -48,6 +49,14 @@ def test_construct_plan_reaches_one(n):
     assert plan.predicted_milnor == plan.base_milnor + sum(
         c * s_kn(n, k) for k, c in enumerate(plan.counts)
     )
+
+
+def test_solver_row_has_negative_entry_for_every_admissible_n():
+    # construct_plan fixes the twist a = 1: with a negative basis entry,
+    # represent decomposes every target, so no larger twist is ever needed.
+    for n in range(4, 101, 2):
+        if prime_power_check(n + 1) is None:
+            assert any(-s_kn(n, k) < 0 for k in range(n - 1)), n
 
 
 def test_construct_plan_base_matches_oracle():
