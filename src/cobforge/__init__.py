@@ -1,111 +1,26 @@
 """Exact-arithmetic toolkit for Milnor numbers of blow-up modifications,
 generator plans in unitary cobordism, and the simple-polytope truncations
-underlying their toric models."""
+underlying their toric models.
 
-from .arith import (
-    BasePDigits,
-    base_p_digits,
-    binomial,
-    binomial_mod_p,
-    gcd_list,
-    is_prime,
-    prime_power_check,
-)
-from .chern import (
-    ProjBundleSpec,
-    TruncatedPoly,
-    adjustable_base_spec,
-    dkn_spec,
-    fiber_integral,
-    integrate_top,
-    milnor_projectivisation,
-    poly_inverse,
-    total_chern,
-)
-from .frobenius import Representation, frobenius_bound, represent
-from .milnor import (
-    L_kn,
-    MilnorTable,
-    coprimality_check,
-    milnor_table,
-    point_blowup_delta,
-    s_dkn,
-    s_kn,
-    witness_k,
-)
-from .planner import (
-    GeneratorVerdict,
-    ModificationPlan,
-    construct_plan,
-    milnor_novikov_check,
-    verify_plan,
-)
-from .polytope import (
-    ChiPolynomial,
-    Face,
-    RigidityReport,
-    SimplePolytope,
-    apply_plan,
-    chi_ab,
-    comb_iso,
-    cut_face,
-    cut_vertex,
-    f_vector,
-    face,
-    h_vector,
-    product,
-    rigidity_demo,
-    simplex,
-    verify_complementary_equiv,
-)
+The top level re-exports the API the README documents; every other name is
+imported from its submodule (``cobforge.polytope``, ``cobforge.chern``, ...).
+"""
+
+from .arith import binomial_mod_p, prime_power_check
+from .chern import TruncatedPoly, milnor_projectivisation
+from .milnor import L_kn, s_dkn, s_kn, witness_k
+from .planner import construct_plan, milnor_novikov_check, verify_plan
 
 __all__ = [
-    "BasePDigits",
-    "ChiPolynomial",
-    "Face",
-    "GeneratorVerdict",
     "L_kn",
-    "MilnorTable",
-    "ModificationPlan",
-    "ProjBundleSpec",
-    "Representation",
-    "RigidityReport",
-    "SimplePolytope",
     "TruncatedPoly",
-    "adjustable_base_spec",
-    "apply_plan",
-    "base_p_digits",
-    "binomial",
     "binomial_mod_p",
-    "chi_ab",
-    "comb_iso",
     "construct_plan",
-    "coprimality_check",
-    "cut_face",
-    "cut_vertex",
-    "dkn_spec",
-    "f_vector",
-    "face",
-    "fiber_integral",
-    "frobenius_bound",
-    "gcd_list",
-    "h_vector",
-    "integrate_top",
-    "is_prime",
     "milnor_novikov_check",
     "milnor_projectivisation",
-    "milnor_table",
-    "point_blowup_delta",
-    "poly_inverse",
     "prime_power_check",
-    "product",
-    "represent",
-    "rigidity_demo",
     "s_dkn",
     "s_kn",
-    "simplex",
-    "total_chern",
-    "verify_complementary_equiv",
     "verify_plan",
     "witness_k",
 ]

@@ -13,18 +13,7 @@ from typing import Iterable, Optional
 
 def is_prime(p: int) -> bool:
     """Trial-division primality test; inputs in this package stay small."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and _smallest_prime_factor(p) == p
 
 
 def binomial(n: int, k: int) -> int:
@@ -100,15 +89,18 @@ def binomial_mod_p(n: int, m: int, p: int) -> int:
 
 
 def gcd_list(values: Iterable[int]) -> int:
-    """Nonnegative gcd of the absolute values; at least one must be nonzero."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("gcd_list needs at least one value")
-    g = 0
-    for v in vals:
+    """Nonnegative gcd of the absolute values; at least one must be nonzero.
+
+    The values are consumed lazily and the scan stops at the first gcd of 1.
+    """
+    g, seen = 0, False
+    for v in values:
+        seen = True
         g = math.gcd(g, abs(v))
         if g == 1:
             return 1
+    if not seen:
+        raise ValueError("gcd_list needs at least one value")
     if g == 0:
         raise ValueError("gcd_list of all-zero input")
     return g

@@ -24,10 +24,9 @@ oracle in :mod:`cobforge.chern`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .arith import base_p_digits, binomial, binomial_mod_p, is_prime, prime_power_check
+from .arith import base_p_digits, binomial, binomial_mod_p, gcd_list, is_prime, prime_power_check
 
 
 def _check_range(n: int, k: int, k_min: int = 0) -> None:
@@ -82,7 +81,7 @@ def L_kn(n: int, k: int) -> int:
 def coprimality_check(n: int) -> tuple[int, bool]:
     """Gcd of {s_kn(n, k) : 0 <= k <= n-2} for even n, and whether it is 1.
 
-    The gcd is accumulated incrementally and short-circuits at 1, since the
+    ``gcd_list`` consumes the row lazily and stops at a gcd of 1, since the
     row entries grow like 2^n.  Odd n is rejected: the construction this
     feeds only consumes even dimensions.
     """
@@ -90,11 +89,7 @@ def coprimality_check(n: int) -> tuple[int, bool]:
         raise ValueError("dimension n must be >= 2")
     if n % 2:
         raise ValueError("coprimality check applies to even n only")
-    g = 0
-    for k in range(n - 1):
-        g = math.gcd(g, abs(s_kn(n, k)))
-        if g == 1:
-            break
+    g = gcd_list(s_kn(n, k) for k in range(n - 1))
     return g, g == 1
 
 

@@ -7,12 +7,13 @@ nonempty common vertex set), so vertex and face truncations, f- and
 h-vectors, and combinatorial isomorphism all work on this data alone.
 Geometric realizations are out of scope.
 
-Vertex truncation models the blow-up of a toric variety at a fixed point;
-truncating a k-face of the fresh simplex facet models the follow-up blow-up
-along a k-dimensional invariant subspace of the exceptional divisor.
-``apply_plan`` plays a whole modification plan on the moment polytope of the
-plan's base, and ``rigidity_demo`` exhibits the pair of modifications with
-combinatorially equivalent polytopes but different Milnor-number changes.
+Vertex truncation (the face truncation of codimension n) models the blow-up
+of a toric variety at a fixed point; truncating a k-face of the fresh simplex
+facet models the follow-up blow-up along a k-dimensional invariant subspace
+of the exceptional divisor.  ``apply_plan`` plays a whole modification plan
+on ``plan_base(n)``, the moment polytope of the plan's base, and
+``rigidity_demo`` exhibits the pair of modifications with combinatorially
+equivalent polytopes but different Milnor-number changes.
 """
 
 from __future__ import annotations
@@ -142,22 +143,23 @@ def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
     return SimplePolytope(p.dim + q.dim, p.facet_count + q.facet_count, verts)
 
 
-def cut_vertex(p: SimplePolytope, vertex_index: int) -> SimplePolytope:
-    """Truncate one vertex: a new facet replaces it by dim new vertices.
+def plan_base(n: int) -> SimplePolytope:
+    """I x I x (n-2)-simplex, the moment polytope of ``chern.adjustable_base_spec(n, a)``."""
+    return product(product(simplex(1), simplex(1)), simplex(n - 2))
 
-    The i-th new vertex lies on the new facet and on all old facets of the
-    vertex except the i-th (in sorted order).
+
+def cut_vertex(p: SimplePolytope, vertex_index: int) -> SimplePolytope:
+    """Truncate one vertex: ``cut_face`` on the vertex's full facet set.
+
+    A new facet replaces the vertex by dim new vertices; the i-th lies on the
+    new facet and on all old facets of the vertex except the i-th (in sorted
+    order).
     """
     if p.dim < 2:
         raise ValueError("vertex truncation needs dimension >= 2")
     if not 0 <= vertex_index < len(p.vertices):
         raise ValueError(f"vertex index {vertex_index} out of range")
-    v = p.vertices[vertex_index]
-    g = p.facet_count
-    verts = [sorted(w) for w in p.vertices if w != v]
-    for f in sorted(v):
-        verts.append(sorted((v - {f}) | {g}))
-    return SimplePolytope(p.dim, p.facet_count + 1, verts)
+    return cut_face(p, p.vertices[vertex_index])
 
 
 def cut_face(p: SimplePolytope, defining_facets: Iterable[int]) -> SimplePolytope:
@@ -357,9 +359,19 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     return tuple(mapping) if place(0) else None
 
 
-def _new_facet_vertices(p: SimplePolytope, g: int) -> list[frozenset[int]]:
-    """Vertices on facet g, in the polytope's canonical vertex order."""
-    return [v for v in p.vertices if g in v]
+def _fresh_faces(
+    p: SimplePolytope, vertex_index: int, k: int
+) -> tuple[SimplePolytope, frozenset[int], frozenset[int]]:
+    """Cut a vertex and name two complementary faces of the fresh facet.
+
+    The new facet is an (n-1)-simplex.  With its n vertices in canonical
+    order, ``first`` is the facet set of the k-face spanned by the first k+1
+    of them and ``rest`` that of the face spanned by the remaining n-k-1.
+    """
+    g = p.facet_count
+    q = cut_vertex(p, vertex_index)
+    fresh = [v for v in q.vertices if g in v]
+    return q, frozenset.intersection(*fresh[: k + 1]), frozenset.intersection(*fresh[k + 1 :])
 
 
 def verify_complementary_equiv(p: SimplePolytope, vertex_index: int, k: int) -> bool:
@@ -371,49 +383,32 @@ def verify_complementary_equiv(p: SimplePolytope, vertex_index: int, k: int) -> 
     isomorphic polytopes; this runs both truncations and the isomorphism
     search.
     """
-    n = p.dim
-    if not 0 <= k <= n - 2:
+    if not 0 <= k <= p.dim - 2:
         raise ValueError(f"k must satisfy 0 <= k <= n-2, got {k}")
-    g = p.facet_count
-    q = cut_vertex(p, vertex_index)
-    gverts = _new_facet_vertices(q, g)
-    span_first = gverts[: k + 1]
-    span_rest = gverts[k + 1 :]
-    d1 = frozenset.intersection(*span_first)
-    d2 = frozenset.intersection(*span_rest)
-    p1 = cut_face(q, d1)
-    p2 = cut_face(q, d2)
-    return comb_iso(p1, p2) is not None
+    q, first, rest = _fresh_faces(p, vertex_index, k)
+    return comb_iso(cut_face(q, first), cut_face(q, rest)) is not None
 
 
 def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     """Play a modification plan on the moment polytope of its base.
 
-    The base bundle's polytope is the product of two segments and an
-    (n-2)-simplex.  Each modification with parameter k cuts the polytope's
-    first vertex (canonical order) and then the k-face of the fresh simplex
-    facet spanned by its first k+1 vertices; any deterministic choice policy
-    yields the same Milnor-number bookkeeping, so this fixed one is used for
-    reproducibility.
+    The base is ``plan_base(n)``.  Each modification with parameter k cuts
+    the polytope's first vertex (canonical order) and then the k-face of the
+    fresh simplex facet spanned by its first k+1 vertices; any deterministic
+    choice policy yields the same Milnor-number bookkeeping, so this fixed
+    one is used for reproducibility.
     """
     n = plan.n
     if n < 3:
         raise ValueError("plan application needs dimension >= 3")
     if len(plan.counts) != n - 1:
         raise ValueError("plan dimension mismatch: counts must cover k = 0..n-2")
-    poly = product(product(simplex(1), simplex(1)), simplex(n - 2))
+    poly = plan_base(n)
     for k, count in enumerate(plan.counts):
         for _ in range(count):
-            poly = _apply_modification(poly, k)
+            q, first, _rest = _fresh_faces(poly, 0, k)
+            poly = cut_face(q, first)
     return poly
-
-
-def _apply_modification(poly: SimplePolytope, k: int) -> SimplePolytope:
-    g = poly.facet_count
-    poly = cut_vertex(poly, 0)
-    gverts = _new_facet_vertices(poly, g)
-    d = frozenset.intersection(*gverts[: k + 1])
-    return cut_face(poly, d)
 
 
 @dataclass(frozen=True)
@@ -449,10 +444,6 @@ class RigidityReport:
     def deltas_differ(self) -> bool:
         return self.delta_point != self.delta_top
 
-    @property
-    def passed(self) -> bool:
-        return self.iso_found and self.h_match and self.deltas_differ
-
 
 def rigidity_demo(n: int) -> RigidityReport:
     """Compare the k = 0 and k = n-2 modifications of the n-simplex.
@@ -464,12 +455,8 @@ def rigidity_demo(n: int) -> RigidityReport:
     """
     if n < 3:
         raise ValueError("rigidity demo needs n >= 3")
-    base = simplex(n)
-    g = base.facet_count
-    q = cut_vertex(base, 0)
-    gverts = _new_facet_vertices(q, g)
-    first = cut_face(q, frozenset.intersection(*gverts[:1]))
-    last = cut_face(q, frozenset.intersection(*gverts[1:]))
+    q, point, opposite = _fresh_faces(simplex(n), 0, 0)
+    first, last = cut_face(q, point), cut_face(q, opposite)
     return RigidityReport(
         n=n,
         facet_bijection=comb_iso(first, last),

@@ -23,7 +23,7 @@ def test_milnor_table_value(capsys):
 
 def test_milnor_oracle_agreement(tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main(["milnor", "--n", "4", "--k", "2", "--oracle", "--json", str(out)]) == 0
+    assert main(["milnor", "--n", "4", "--k", "2", "--json", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "15" in captured and "agrees" in captured
     report = read_json(out)
@@ -31,6 +31,14 @@ def test_milnor_oracle_agreement(tmp_path, capsys):
     assert report["outputs"]["s_dkn"] == "15"
     assert report["outputs"]["oracle"] == "15"
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("table", ["s_dkn", "s_kn", "L"])
+def test_milnor_detects_oracle_disagreement(monkeypatch, capsys, table):
+    true_oracle = cli.chern.milnor_projectivisation
+    monkeypatch.setattr(cli.chern, "milnor_projectivisation", lambda spec: 2 * true_oracle(spec))
+    assert main(["milnor", "--n", "6", "--k", "3", "--table", table]) == 1
+    assert "[FAIL] oracle_agrees" in capsys.readouterr().out
 
 
 def test_milnor_out_of_range_exits_nonzero(capsys):
@@ -175,9 +183,7 @@ def test_polytope_apply_plan_checks_closed_form(tmp_path, monkeypatch, capsys):
     plan_file = tmp_path / "plan.json"
     doc = {"n": 4, "a": 1, "base_milnor": "5", "counts": [1, 0, 0], "predicted_milnor": "-5"}
     plan_file.write_text(json.dumps(doc), encoding="utf-8")
-    base = polytope.product(
-        polytope.product(polytope.simplex(1), polytope.simplex(1)), polytope.simplex(2)
-    )
+    base = polytope.plan_base(4)
     monkeypatch.setattr(cli.polytope, "apply_plan", lambda plan: base)
     assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
     assert "[FAIL] vertex_count_closed_form" in capsys.readouterr().out
@@ -205,7 +211,8 @@ def cli_inputs(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        "milnor --n 4 --k 2 --oracle",
+        "milnor --n 4 --k 2",
+        "milnor --n 6 --k 3 --table L",
         "gcd-check --n 14",
         "gcd-check --n 4",
         "witness --n 14 --p 5",
@@ -234,6 +241,11 @@ def test_report_contract(tmp_path, monkeypatch, capsys, cli_inputs, argv):
     assert summary in capsys.readouterr().out
 
 
+# A valid n = 4 plan with no modifications; each malformed variant below ran
+# (coerced by int()) when documents were not type-checked.
+PLAN_N4 = {"n": 4, "a": 1, "base_milnor": "5", "counts": [0, 0, 0], "predicted_milnor": "5"}
+
+
 @pytest.mark.parametrize(
     "argv, document",
     [
@@ -242,6 +254,10 @@ def test_report_contract(tmp_path, monkeypatch, capsys, cli_inputs, argv):
         (["polytope", "hvec", "--infile"], [3, 4]),
         (["polytope", "apply-plan", "--plan"], {"n": None, "a": 1}),
         (["polytope", "apply-plan", "--plan"], [4, 1]),
+        (["polytope", "apply-plan", "--plan"], dict(PLAN_N4, n=4.9)),
+        (["polytope", "apply-plan", "--plan"], dict(PLAN_N4, counts=[0.9, 0, 0])),
+        (["polytope", "apply-plan", "--plan"], dict(PLAN_N4, a=True, base_milnor=5.0)),
+        (["polytope", "apply-plan", "--plan"], dict(PLAN_N4, counts="123", predicted_milnor="-75")),
     ],
 )
 def test_malformed_documents_exit_one(tmp_path, capsys, argv, document):

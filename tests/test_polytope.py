@@ -17,6 +17,7 @@ from cobforge.polytope import (
     face,
     from_dict,
     h_vector,
+    plan_base,
     product,
     rigidity_demo,
     simplex,
@@ -30,10 +31,6 @@ def cube(d):
     for _ in range(d - 1):
         p = product(p, simplex(1))
     return p
-
-
-def plan_base(n):
-    return product(product(simplex(1), simplex(1)), simplex(n - 2))
 
 
 def toy_plan(n, counts):
@@ -65,6 +62,7 @@ def test_product_counts():
     square = product(simplex(1), simplex(1))
     assert square.facet_count == 4 and len(square.vertices) == 4
     base = plan_base(4)
+    assert base == product(square, simplex(2))
     assert base.facet_count == 7 and len(base.vertices) == 12
     assert f_vector(cube(3)) == (8, 12, 6, 1)
 
@@ -125,7 +123,14 @@ def test_cut_face_figure_counts():
 def test_cut_face_full_codim_equals_cut_vertex():
     q = cut_vertex(simplex(4), 0)
     target = q.vertices[2]
-    assert cut_face(q, target) == cut_vertex(q, 2)
+    g = q.facet_count
+    # the vertex is replaced by dim new vertices, each dropping one old facet
+    expected = SimplePolytope(
+        q.dim,
+        g + 1,
+        [w for w in q.vertices if w != target] + [(target - {f}) | {g} for f in target],
+    )
+    assert cut_face(q, target) == cut_vertex(q, 2) == expected
 
 
 def test_cut_face_vertex_count_delta():
@@ -310,6 +315,45 @@ def test_apply_plan_preserves_invariants_and_symmetry():
         hv = h_vector(result)
         assert hv == hv[::-1]
         assert sum(hv) == len(result.vertices)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ones(lo, hi):
+    """t^lo + ... + t^hi as a coefficient list."""
+    return [0] * lo + [1] * (hi - lo + 1)
+
+
+def h_vector_closed_form(n, counts):
+    """(1+t)^2 (1+...+t^(n-2)) + sum_k counts[k] [(t+...+t^(n-1)) + (1+...+t^k)(t+...+t^(n-k-1))].
+
+    The base I x I x (n-2)-simplex, then one vertex cut (codimension n) and
+    one k-face cut (codimension n-k) per modification, each adding
+    h_F(t)(t+...+t^(c-1)) for a face F of codimension c.
+    """
+    terms = [(1, _poly_mul(_poly_mul([1, 1], [1, 1]), _ones(0, n - 2)))]
+    for k, count in enumerate(counts):
+        terms.append((count, _ones(1, n - 1)))
+        terms.append((count, _poly_mul(_ones(0, k), _ones(1, n - k - 1))))
+    h = [0] * (n + 1)
+    for count, poly in terms:
+        for i, x in enumerate(poly):
+            h[i] += count * x
+    return tuple(h)
+
+
+def test_apply_plan_h_vector_matches_closed_form():
+    rng = random.Random(29)
+    for n in range(3, 8):
+        for _ in range(3):
+            counts = tuple(rng.randrange(3) for _ in range(n - 1))
+            assert h_vector(apply_plan(toy_plan(n, counts))) == h_vector_closed_form(n, counts)
 
 
 def test_apply_plan_dimension_mismatch():
