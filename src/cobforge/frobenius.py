@@ -5,14 +5,21 @@ by the Apery-set method: a shortest-path computation over residues modulo
 the smallest basis element.  For a mixed-sign basis (first element positive,
 gcd of absolute values 1) every integer is representable; the solver first
 finds nonnegative coefficients over the absolute values, lifting the target
-by a negative basis element when needed, and then trades coefficients
-against the first element to fix the signs.
+by the smallest multiple of a negative basis element that makes it
+representable, and then trades coefficients against the first element to fix
+the signs.
+
+Cost: with m the smallest nonzero |entry| and b the number of entries, the
+Apery shortest paths are a Dijkstra over m residues, O(m*b*log(m*b)), and the
+lift is a closed form over at most m residue classes, O(m), independent of
+the size of the lift.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import gcd_list
 
@@ -87,12 +94,22 @@ def represent(x: int, basis) -> Representation:
     The basis must have a positive first element and absolute values with
     gcd 1.  All-positive bases are decided exactly (unrepresentable targets
     raise).  With a negative entry present, x is always representable: if
-    the absolute-value solver fails on x directly, the target is lifted by
-    multiples of the first negative entry until it succeeds, and the lift is
-    charged to that entry's coefficient.  Absolute-value coefficients that
-    land on negative entries are then made valid by trading k copies of the
-    entry against k times its magnitude on the first basis element, with k
+    the absolute-value solver fails on x directly, the target is lifted to
+    x + s*step, step = |first negative entry|, with the smallest s >= 1 for
+    which the absolute-value solver succeeds, and the lift is charged to
+    that entry's coefficient.  Absolute-value coefficients that land on
+    negative entries are then made valid by trading k copies of the entry
+    against k times its magnitude on the first basis element, with k
     minimal.  Deterministic for fixed input.
+
+    The smallest s has a closed form.  With m the smallest nonzero |entry|
+    and dist[r] the smallest representable value congruent to r mod m,
+    x + s*step succeeds exactly when x + s*step >= dist[(x + s*step) % m].
+    The residue repeats with period P = m / gcd(step, m), so for each s0 in
+    1..P the smallest valid s congruent to s0 mod P is
+    s0 + P*max(0, ceil((dist[r] - x - s0*step) / (P*step))),
+    r = (x + s0*step) % m, and s is their minimum.  Cost: a Dijkstra over m
+    residues, then this O(m) lift, whatever the size of s.
     """
     vals = tuple(int(t) for t in basis)
     if not vals:
@@ -130,12 +147,14 @@ def represent(x: int, basis) -> Representation:
             raise ValueError(f"{x} is not representable over {vals}")
         j = negatives[0]
         step = abs_vals[j]
-        shift = 0
-        y = x
-        while coeffs is None:
-            shift += 1
-            y += step
-            coeffs = abs_coeffs_for(y)
+        # gcd 1 makes every residue reachable, so each dist entry is set.
+        period = m // gcd(step, m)
+        lifts = []
+        for s0 in range(1, period + 1):
+            y0 = x + s0 * step
+            lifts.append(s0 + period * max(0, -((y0 - dist[y0 % m]) // (period * step))))
+        shift = min(lifts)
+        coeffs = abs_coeffs_for(x + shift * step)
         coeffs[j] -= shift
 
     for i in negatives:

@@ -76,6 +76,12 @@ def test_plan_report(tmp_path, capsys):
     assert main(["plan", "--n", "4"]) == 1
 
 
+def test_plan_n50(capsys):
+    # a lift that steps one |entry| at a time runs for minutes on this n
+    assert main(["plan", "--n", "50"]) == 0
+    assert "plan: 2/2 checks passed" in capsys.readouterr().out
+
+
 def test_polytope_cut_vertex_roundtrip(tmp_path):
     infile = tmp_path / "simplex3.json"
     outfile = tmp_path / "cut.json"

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from cobforge.frobenius import Representation, frobenius_bound, represent
+from cobforge.frobenius import Representation, _apery_distances, frobenius_bound, represent
 
 
 def reachable_nonneg(basis, limit):
@@ -185,3 +185,86 @@ def test_represent_planner_style_basis():
     assert basis[0] == n + 1
     rep = represent(44, basis)
     assert sum(c * t for c, t in zip(rep.coefficients, rep.basis)) == 44
+
+
+def loop_lift_represent(x, basis):
+    """Reference: represent() with the lift found one step of |entry| at a time."""
+    vals = tuple(basis)
+    abs_vals = tuple(abs(t) for t in vals)
+    active = tuple(i for i, t in enumerate(vals) if t != 0)
+    solve_vals = tuple(abs_vals[i] for i in active)
+    m_pos, dist, pred = _apery_distances(solve_vals)
+    m = solve_vals[m_pos]
+
+    def abs_coeffs_for(y):
+        r0 = y % m
+        if y < 0 or dist[r0] > y:
+            return None
+        coeffs = [0] * len(vals)
+        r = r0
+        while r != 0:
+            r, idx = pred[r]
+            coeffs[active[idx]] += 1
+        coeffs[active[m_pos]] += (y - dist[r0]) // m
+        return coeffs
+
+    negatives = [i for i, t in enumerate(vals) if t < 0]
+    coeffs = abs_coeffs_for(x)
+    shift = 0
+    while coeffs is None:
+        shift += 1
+        coeffs = abs_coeffs_for(x + shift * abs_vals[negatives[0]])
+    coeffs[negatives[0]] -= shift
+    for i in negatives:
+        a_i = coeffs[i]
+        k = -(-a_i // vals[0]) if a_i > 0 else 0
+        coeffs[0] += k * abs_vals[i]
+        coeffs[i] = -a_i + k * vals[0]
+    return Representation(x, vals, tuple(coeffs)), shift
+
+
+def random_mixed_basis_with_zeros(rng):
+    while True:
+        size = rng.randrange(2, 7)
+        basis = [rng.randrange(-60, 61) for _ in range(size)]
+        basis[0] = rng.randrange(1, 61)
+        if not any(t < 0 for t in basis):
+            basis[rng.randrange(1, size)] = -rng.randrange(1, 61)
+        g = 0
+        for t in basis:
+            g = gcd(g, abs(t))
+        if g == 1:
+            return basis
+
+
+def test_represent_matches_loop_lift():
+    from cobforge.milnor import s_kn
+
+    rng = random.Random(5)
+    cases = [
+        (-100, [7, -6, 3]),  # step 6 is a multiple of m = 3: period 1
+        (-1000, [7, 0, -6, 0, 3]),  # zero entries, m not first
+        (-1, [5, -9, 2, 0]),
+        (44, [15, 30, 435, -2010, 10100, -31779]),
+    ]
+    for n in (14, 20, 32):
+        ks = [1, 0] + list(range(2, n - 1))
+        cases.append((n, [-s_kn(n, k) for k in ks]))
+    for _ in range(3000):
+        basis = random_mixed_basis_with_zeros(rng)
+        cases.append((rng.randrange(-400, 400), basis))
+
+    period_one = zeros = m_not_first = past_first_period = 0
+    for x, basis in cases:
+        expected, shift = loop_lift_represent(x, basis)
+        assert represent(x, basis) == expected, (x, basis)
+        if shift:
+            m = min(abs(t) for t in basis if t)
+            step = abs(next(t for t in basis if t < 0))
+            period_one += step % m == 0
+            zeros += 0 in basis
+            m_not_first += m != basis[0]
+            past_first_period += shift > m // gcd(step, m)
+    # the lift must actually run in each of the shapes the closed form treats
+    counts = (period_one, zeros, m_not_first, past_first_period)
+    assert min(counts) >= 10, counts
