@@ -1,49 +1,130 @@
 """Truncated polynomial cohomology rings and fiber integration.
 
 The cohomology of CP^(m_1) x ... x CP^(m_r) is the integer polynomial ring in
-x_1..x_r modulo (x_1^(m_1+1), ..., x_r^(m_r+1)).  For a projectivised split
-sum of line bundles over such a base, pairing a class against the fundamental
-class reduces to multiplying by the total Segre class (the inverse of the
-total Chern class of the bundle) and reading off the top coefficient on the
-base.  ``milnor_projectivisation`` uses this to evaluate the Milnor number,
-the power sum of Chern roots in top degree, exactly; it is the independent
-cross-check for every closed form in :mod:`cobforge.milnor`.
+x_1..x_r modulo (x_1^(m_1+1), ..., x_r^(m_r+1)).  ``TruncatedPoly`` stores an
+element densely, as its coefficient list over the exponent box.  For a
+projectivised split sum of line bundles over such a base, pairing a class
+against the fundamental class reduces to multiplying by the total Segre class
+(the inverse of the total Chern class of the bundle) and reading off the top
+coefficient on the base.  ``milnor_projectivisation`` uses this to evaluate
+the Milnor number, the power sum of Chern roots in top degree, exactly; it is
+the independent cross-check for every closed form in :mod:`cobforge.milnor`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
+
+
+def _box(bounds: tuple[int, ...]) -> Iterable[Monomial]:
+    """Every exponent tuple e <= bounds, in row-major order."""
+    return itertools.product(*(range(m + 1) for m in bounds))
+
+
+def _index(exps: Monomial, bounds: tuple[int, ...]) -> int:
+    """Row-major position of ``exps`` in the box: the last variable varies fastest."""
+    idx = 0
+    for e, m in zip(exps, bounds):
+        idx = idx * (m + 1) + e
+    return idx
+
+
+def _layout(bounds: tuple[int, ...]) -> Sequence[int]:
+    """Carry-free positions of the box's monomials, in row-major order.
+
+    Monomial e goes to sum(e_i * S_i) with S_r = 1 and S_i = S_(i+1) *
+    (2*m_(i+1) + 1): exponents of two in-box monomials add digit by digit
+    without a carry, so a product of two polynomials is the one-variable
+    product of their laid-out lists, read back at these positions.  With at
+    most one variable of positive bound the layout is the identity.
+    """
+    if sum(1 for m in bounds if m) <= 1:
+        return range(math.prod(m + 1 for m in bounds))
+    pos = [0]
+    for m in bounds:
+        pos = [p * (2 * m + 1) + e for p in pos for e in range(m + 1)]
+    return pos
+
+
+def _span(x: list[int]) -> int:
+    """Length of ``x`` without its trailing zeros."""
+    n = len(x)
+    while n and not x[n - 1]:
+        n -= 1
+    return n
+
+
+def _spread(dense: list[int], pos: Sequence[int]) -> list[int]:
+    """A row-major coefficient list laid out at the carry-free positions ``pos``."""
+    if len(pos) == pos[-1] + 1:  # no gaps
+        return dense
+    out = [0] * (pos[-1] + 1)
+    for p, c in zip(pos, dense):
+        out[p] = c
+    return out
+
+
+def _gather(laid_out: list[int], pos: Sequence[int]) -> list[int]:
+    """The row-major coefficient list read back from its carry-free layout."""
+    return laid_out if len(laid_out) == len(pos) else [laid_out[p] for p in pos]
+
+
+def _convolve(x: list[int], y: list[int]) -> list[int]:
+    """One-variable product of x and y, truncated to len(x) = len(y) terms.
+
+    Term j is sum_t x_t * y_(j-t) over the t where neither factor is a
+    trailing zero; ``map`` stops at the shorter of the two runs.
+    """
+    size = len(x)
+    x = x[: _span(x)]
+    y_rev = y[: _span(y)][::-1]
+    ys = len(y_rev)
+    prod = [sum(map(mul, x, y_rev[ys - 1 - j :])) for j in range(min(ys, size))]
+    prod += [sum(map(mul, x[j - ys + 1 :], y_rev)) for j in range(ys, min(size, len(x) + ys - 1))]
+    return prod + [0] * (size - len(prod))
 
 
 class TruncatedPoly:
     """Integer polynomial in x_1..x_r modulo (x_1^(m_1+1), ..., x_r^(m_r+1)).
 
-    Sparse exponent-tuple representation: ``coeffs`` maps exponent tuples to
-    nonzero integers.  Monomials exceeding any per-variable bound are
-    identically zero and never stored, so equality is plain map equality.
-    Instances are treated as immutable.
+    Dense representation: ``dense`` lists the coefficient of every monomial
+    of the exponent box, prod(m_i + 1) entries in row-major order (the last
+    variable varies fastest), so equality is list equality.  ``coeffs`` is
+    the mapping of the nonzero terms.  Monomials exceeding any per-variable
+    bound are identically zero and dropped on construction.  Instances are
+    treated as immutable.
     """
 
-    __slots__ = ("bounds", "coeffs")
+    __slots__ = ("bounds", "dense")
 
     def __init__(self, bounds: Iterable[int], coeffs: Mapping[Monomial, int] | None = None):
         self.bounds: tuple[int, ...] = tuple(int(m) for m in bounds)
         if any(m < 0 for m in self.bounds):
             raise ValueError("variable bounds must be nonnegative")
-        clean: dict[Monomial, int] = {}
+        dense = [0] * math.prod(m + 1 for m in self.bounds)
         for exps, c in (coeffs or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.bounds):
                 raise ValueError("exponent tuple does not match variable count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            if c and all(e <= m for e, m in zip(exps, self.bounds)):
-                clean[exps] = int(c)
-        self.coeffs = clean
+            if all(e <= m for e, m in zip(exps, self.bounds)):
+                dense[_index(exps, self.bounds)] = int(c)
+        self.dense = dense
+
+    @classmethod
+    def _of(cls, bounds: tuple[int, ...], dense: list[int]) -> "TruncatedPoly":
+        p = cls.__new__(cls)
+        p.bounds = bounds
+        p.dense = dense
+        return p
 
     @classmethod
     def constant(cls, bounds: Iterable[int], c: int) -> "TruncatedPoly":
@@ -73,11 +154,16 @@ class TruncatedPoly:
                 terms[tuple(1 if j == i else 0 for j in range(len(bounds)))] = d
         return cls(bounds, terms)
 
+    @property
+    def coeffs(self) -> dict[Monomial, int]:
+        """The nonzero terms, exponent tuple -> coefficient."""
+        return {e: c for e, c in zip(_box(self.bounds), self.dense) if c}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.dense)
 
     def constant_term(self) -> int:
-        return self.coeffs.get((0,) * len(self.bounds), 0)
+        return self.dense[0]
 
     def _coerce(self, other) -> "TruncatedPoly":
         if isinstance(other, TruncatedPoly):
@@ -93,21 +179,18 @@ class TruncatedPoly:
             other = TruncatedPoly.constant(self.bounds, other)
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self.bounds == other.bounds and self.coeffs == other.coeffs
+        return self.bounds == other.bounds and self.dense == other.dense
 
     def __add__(self, other) -> "TruncatedPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            merged[exps] = merged.get(exps, 0) + c
-        return TruncatedPoly(self.bounds, merged)
+        return TruncatedPoly._of(self.bounds, list(map(add, self.dense, other.dense)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(self.bounds, {e: -c for e, c in self.coeffs.items()})
+        return TruncatedPoly._of(self.bounds, [-c for c in self.dense])
 
     def __sub__(self, other) -> "TruncatedPoly":
         other = self._coerce(other)
@@ -119,60 +202,69 @@ class TruncatedPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedPoly":
+        """Truncated product; an integer factor scales every coefficient.
+
+        Both factors are laid out carry-free (see ``_layout``), multiplied as
+        one-variable polynomials and read back inside the box.
+        """
+        if isinstance(other, int):
+            return TruncatedPoly._of(self.bounds, [c * other for c in self.dense])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        bounds = self.bounds
-        prod: dict[Monomial, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > m for e, m in zip(exps, bounds)):
-                    continue
-                prod[exps] = prod.get(exps, 0) + c1 * c2
-        return TruncatedPoly(bounds, prod)
+        pos = _layout(self.bounds)
+        prod = _convolve(_spread(self.dense, pos), _spread(other.dense, pos))
+        return TruncatedPoly._of(self.bounds, _gather(prod, pos))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedPoly":
+        """Repeated squaring: a square per binary digit of the exponent and a
+        product per set bit, so O(log e) products instead of e."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = TruncatedPoly.one(self.bounds)
-        for _ in range(exponent):
-            result = result * self
-            if result.is_zero():
-                break
-        return result
+        result, square = None, self
+        while exponent:
+            if exponent & 1:
+                result = square if result is None else result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return TruncatedPoly.one(self.bounds) if result is None else result
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return f"TruncatedPoly({self.bounds}, 0)"
         parts = []
-        for exps in sorted(self.coeffs):
+        for exps in sorted(coeffs):
             mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e) or "1"
-            parts.append(f"{self.coeffs[exps]}*{mono}")
+            parts.append(f"{coeffs[exps]}*{mono}")
         return f"TruncatedPoly({self.bounds}, {' + '.join(parts)})"
 
 
 def poly_inverse(a: TruncatedPoly) -> TruncatedPoly:
-    """Multiplicative inverse of a unit (constant term +1 or -1).
+    """Multiplicative inverse of a unit (constant term c0 = +1 or -1).
 
-    Writing a = c0*(1 + q) with q nilpotent, the inverse is the truncated
-    geometric series c0 * sum((-q)^i); the series stops at the total degree
-    cap, which solves the coefficients degree by degree.
+    One pass that solves a * b = 1 term by term: b_0 = c0 and
+    b_e = -c0 * sum_(0 < f <= e) a_f * b_(e-f).  The terms are visited in
+    row-major order, which (like total-degree order) reaches e only after
+    every f < e; on the carry-free layout of ``_layout`` the sum is one dot
+    product, and the positions outside the box stay 0.  The cost is O(L^2)
+    multiply-adds for L = prod(m_i + 1) coefficients (up to a factor 2^r
+    from the layout's gaps when r variables have positive bounds).
     """
     c0 = a.constant_term()
     if c0 not in (1, -1):
         raise ValueError("inverse requires constant term +1 or -1")
-    q = a * c0 - 1
-    acc = TruncatedPoly.one(a.bounds)
-    term = TruncatedPoly.one(a.bounds)
-    for _ in range(sum(a.bounds)):
-        term = term * q * (-1)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc * c0
+    pos = _layout(a.bounds)
+    x = _spread(a.dense, pos)
+    x_rev, top, xs = x[::-1], len(x) - 1, _span(x)
+    inv = [0] * len(x)
+    for e in pos:
+        lo = max(0, e - xs + 1)
+        inv[e] = c0 * ((e == 0) - sum(map(mul, inv[lo:e], x_rev[top - e + lo :])))
+    return TruncatedPoly._of(a.bounds, _gather(inv, pos))
 
 
 @dataclass(frozen=True)
@@ -248,19 +340,20 @@ def adjustable_base_spec(n: int, a: int) -> ProjBundleSpec:
 def total_chern(spec: ProjBundleSpec) -> TruncatedPoly:
     """Total Chern class of the split bundle, a product of linear factors.
 
-    A conjugated trivial summand is an honest trivial line bundle here, so it
-    contributes the factor 1.
+    Equal summands are grouped, so each distinct factor is raised to its
+    multiplicity once.  A conjugated trivial summand is an honest trivial
+    line bundle here, so it contributes the factor 1.
     """
     bounds = spec.base_dims
     c = TruncatedPoly.one(bounds)
-    for degrees in spec.summands:
-        c = c * (1 + TruncatedPoly.linear_form(bounds, degrees))
+    for degrees, mult in Counter(spec.summands).items():
+        c = c * (1 + TruncatedPoly.linear_form(bounds, degrees)) ** mult
     return c
 
 
 def integrate_top(omega: TruncatedPoly) -> int:
-    """Coefficient of the top monomial x_1^(m_1) * ... * x_r^(m_r)."""
-    return omega.coeffs.get(omega.bounds, 0)
+    """Coefficient of the top monomial x_1^(m_1) * ... * x_r^(m_r), the last entry."""
+    return omega.dense[-1]
 
 
 def fiber_integral(omega: TruncatedPoly, spec: ProjBundleSpec) -> int:

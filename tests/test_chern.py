@@ -95,6 +95,50 @@ def test_ring_axioms_randomized():
         assert a * TruncatedPoly.one(bounds) == a
 
 
+# Test-only references: the plain loops that squaring and the one-pass
+# inverse replace.
+
+
+def power_by_repeated_products(p, e):
+    result = TruncatedPoly.one(p.bounds)
+    for _ in range(e):
+        result = result * p
+    return result
+
+
+def inverse_by_geometric_series(a):
+    """c0 * sum((-q)^i) for a = c0 * (1 + q); the series stops at the total degree cap."""
+    c0 = a.constant_term()
+    q = a * c0 - 1
+    acc = term = TruncatedPoly.one(a.bounds)
+    for _ in range(sum(a.bounds)):
+        term = term * q * (-1)
+        acc = acc + term
+    return acc * c0
+
+
+POWER_BOUNDS = [(3,), (2, 2), (1, 2), (1, 1, 1)]
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(4242)
+    for bounds in POWER_BOUNDS:
+        for _ in range(15):
+            p = random_poly(rng, bounds, max_terms=5, coeff_range=4)
+            # exponents past the nilpotency degree too (the total degree cap is <= 4)
+            for e in range(13):
+                assert p**e == power_by_repeated_products(p, e), (bounds, p, e)
+
+
+def test_inverse_matches_geometric_series():
+    rng = random.Random(5353)
+    for bounds in POWER_BOUNDS + [(0,), (), (4,), (2, 1, 1)]:
+        for _ in range(40):
+            a = random_poly(rng, bounds, max_terms=6)
+            a = a - a.constant_term() + rng.choice([1, -1])
+            assert poly_inverse(a) == inverse_by_geometric_series(a), (bounds, a)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_inverse_multiplies_back_to_one(data):

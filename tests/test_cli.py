@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,17 @@ def test_milnor_detects_oracle_disagreement(monkeypatch, capsys, table):
     monkeypatch.setattr(cli.chern, "milnor_projectivisation", lambda spec: 2 * true_oracle(spec))
     assert main(["milnor", "--n", "6", "--k", "3", "--table", table]) == 1
     assert "[FAIL] oracle_agrees" in capsys.readouterr().out
+
+
+def test_milnor_n400_within_stated_bound(tmp_path):
+    # three oracle calls over CP^198..CP^200; the stated bound is n <= 400 in under 5 s
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(["milnor", "--n", "400", "--k", "200", "--table", "L", "--json", str(out)]) == 0
+    assert time.perf_counter() - start < 5.0
+    report = read_json(out)
+    assert report["checks"] == [{"name": "oracle_agrees", "passed": True}]
+    assert report["outputs"]["oracle"] == report["outputs"]["L"]
 
 
 def test_milnor_out_of_range_exits_nonzero(capsys):
@@ -195,6 +207,21 @@ def test_polytope_apply_plan_checks_closed_form(tmp_path, monkeypatch, capsys):
     assert "[FAIL] vertex_count_closed_form" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [14, 50])
+def test_polytope_apply_plan_refuses_oversized_plans(tmp_path, capsys, n):
+    # the shipped plans have 31,838 (n=14) and ~7.8e10 (n=50) modifications
+    report = tmp_path / "plan-report.json"
+    assert main(["plan", "--n", str(n), "--json", str(report)]) == 0
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(read_json(report)["outputs"]["plan"]), encoding="utf-8")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan would build") and err.count("\n") == 1
+
+
 @pytest.fixture
 def cli_inputs(tmp_path):
     """Small input documents for every subcommand, keyed by placeholder name."""
@@ -309,6 +336,17 @@ def test_arithmetic_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli.milnor, "witness_k", failing_witness)
     assert main(["witness", "--n", "14", "--p", "5"]) == 1
     assert capsys.readouterr().err == "error: witness residue vanished\n"
+
+
+def test_recursion_error_exits_one(tmp_path, monkeypatch, capsys):
+    def deep_iso(p, q):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    first = tmp_path / "a.json"
+    write_polytope(first, polytope.simplex(3))
+    monkeypatch.setattr(cli.polytope, "comb_iso", deep_iso)
+    assert main(["polytope", "iso", "--first", str(first), "--second", str(first)]) == 1
+    assert capsys.readouterr().err == "error: maximum recursion depth exceeded\n"
 
 
 def test_reproduce_detects_corrupted_table(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cobforge import polytope
 from cobforge.chern import adjustable_base_spec
 from cobforge.milnor import s_kn
 from cobforge.planner import ModificationPlan
@@ -18,6 +19,7 @@ from cobforge.polytope import (
     from_dict,
     h_vector,
     plan_base,
+    plan_vertex_count,
     product,
     rigidity_demo,
     simplex,
@@ -353,7 +355,21 @@ def test_apply_plan_h_vector_matches_closed_form():
     for n in range(3, 8):
         for _ in range(3):
             counts = tuple(rng.randrange(3) for _ in range(n - 1))
-            assert h_vector(apply_plan(toy_plan(n, counts))) == h_vector_closed_form(n, counts)
+            result = apply_plan(toy_plan(n, counts))
+            assert h_vector(result) == h_vector_closed_form(n, counts)
+            assert len(result.vertices) == plan_vertex_count(n, counts)
+
+
+def test_apply_plan_vertex_limit(monkeypatch):
+    at_limit = toy_plan(4, (1, 0, 0))  # 18 vertices
+    monkeypatch.setattr(polytope, "_APPLY_PLAN_VERTEX_LIMIT", plan_vertex_count(4, (1, 0, 0)))
+    assert len(apply_plan(at_limit).vertices) == 18
+    with pytest.raises(ValueError, match="past the apply-plan limit"):
+        apply_plan(toy_plan(4, (0, 1, 0)))  # 19 vertices
+    monkeypatch.undo()
+    # the default limit (5,000) refuses this 5,008-vertex plan before any cut
+    with pytest.raises(ValueError, match="past the apply-plan limit"):
+        apply_plan(toy_plan(3, (1250, 0)))
 
 
 def test_apply_plan_dimension_mismatch():
