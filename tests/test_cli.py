@@ -53,6 +53,15 @@ def test_milnor_n400_within_stated_bound(tmp_path):
     assert report["outputs"]["oracle"] == report["outputs"]["L"]
 
 
+def test_milnor_refuses_n_past_stated_bound(capsys):
+    start = time.perf_counter()
+    assert main(["milnor", "--n", "401", "--k", "200", "--table", "L"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "oracle" not in captured.out
+
+
 def test_milnor_out_of_range_exits_nonzero(capsys):
     assert main(["milnor", "--n", "3", "--k", "5"]) == 1
     assert "error" in capsys.readouterr().err
@@ -150,6 +159,20 @@ def test_polytope_cut_face_and_iso(tmp_path):
     report = read_json(iso_report)
     assert report["outputs"]["isomorphic"] is True
     assert sorted(report["outputs"]["facet_bijection"]) == list(range(6))
+    assert report["checks"] == [
+        {"name": "isomorphic", "passed": True},
+        {"name": "bijection_carries_vertices", "passed": True},
+    ]
+
+
+def test_polytope_iso_checks_bijection_outside_search(tmp_path, monkeypatch, capsys):
+    # a search that returns a permutation which is not an isomorphism: it
+    # swaps the fresh triangle (facet 4) with a quadrilateral (facet 0)
+    cut = tmp_path / "cut.json"
+    write_polytope(cut, polytope.cut_vertex(polytope.simplex(3), 0))
+    monkeypatch.setattr(cli.polytope, "comb_iso", lambda p, q: (4, 1, 2, 3, 0))
+    assert main(["polytope", "iso", "--first", str(cut), "--second", str(cut)]) == 1
+    assert "[FAIL] bijection_carries_vertices" in capsys.readouterr().out
 
 
 def test_polytope_iso_negative(tmp_path):

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from cobforge.frobenius import Representation, _apery_distances, frobenius_bound, represent
+from cobforge.frobenius import Representation, _apery_distances, represent
 
 
 def reachable_nonneg(basis, limit):
@@ -40,39 +40,6 @@ def mixed_representable(x, basis, lift_limit=600):
     return False
 
 
-def test_frobenius_bound_classic():
-    assert frobenius_bound([3, 5]) == 7 == bruteforce_frobenius([3, 5])
-    assert frobenius_bound([6, 10, 15]) == 29 == bruteforce_frobenius([6, 10, 15])
-    assert frobenius_bound([1]) == 0
-    assert frobenius_bound([2, 3]) == 1
-    assert frobenius_bound([1, 7]) == 0
-
-
-def test_frobenius_bound_errors():
-    with pytest.raises(ValueError):
-        frobenius_bound([])
-    with pytest.raises(ValueError):
-        frobenius_bound([4, 6])  # gcd 2
-    with pytest.raises(ValueError):
-        frobenius_bound([3, -5])
-    with pytest.raises(ValueError):
-        frobenius_bound([0, 3])
-
-
-def test_frobenius_bound_matches_bruteforce_randomized():
-    rng = random.Random(90125)
-    for _ in range(60):
-        size = rng.randrange(2, 5)
-        while True:
-            basis = [rng.randrange(2, 51) for _ in range(size)]
-            g = 0
-            for t in basis:
-                g = gcd(g, t)
-            if g == 1:
-                break
-        assert frobenius_bound(basis) == bruteforce_frobenius(basis), basis
-
-
 def test_represent_pinned_examples():
     assert represent(8, [3, 5]).coefficients == (1, 1)
     assert represent(1, [3, -5]).coefficients == (2, 1)
@@ -107,7 +74,7 @@ def test_represent_exactness_at_the_bound():
                 g = gcd(g, t)
             if g == 1:
                 break
-        bound = frobenius_bound(basis)
+        bound = bruteforce_frobenius(basis)
         if bound > 0:
             with pytest.raises(ValueError):
                 represent(bound, basis)

@@ -3,9 +3,7 @@ import pytest
 from cobforge.arith import binomial, prime_power_check
 from cobforge.milnor import (
     L_kn,
-    MilnorTable,
     coprimality_check,
-    milnor_table,
     point_blowup_delta,
     s_dkn,
     s_kn,
@@ -173,21 +171,3 @@ def test_witness_errors():
     with pytest.raises(ValueError):
         witness_k(14, 15)  # not prime
 
-
-def test_milnor_table_construction():
-    t = milnor_table(14)
-    assert t.s_dkn_row[0] == 15
-    assert t.s_kn_row[1] == -15
-    assert t.L_row == tuple(L_kn(14, k) for k in range(2, 13))
-    small = milnor_table(2)
-    assert small.L_row == ()
-    assert small.s_kn_row == (-6,)
-
-
-def test_milnor_table_rejects_inconsistent_rows():
-    t = milnor_table(6)
-    with pytest.raises(ValueError):
-        MilnorTable(6, t.s_dkn_row, t.s_kn_row, (0,) * len(t.L_row))
-    broken = tuple(v + 1 for v in t.s_kn_row)
-    with pytest.raises(ValueError):
-        MilnorTable(6, t.s_dkn_row, broken, t.L_row)

@@ -7,10 +7,8 @@ from cobforge.chern import adjustable_base_spec
 from cobforge.milnor import s_kn
 from cobforge.planner import ModificationPlan
 from cobforge.polytope import (
-    ChiPolynomial,
     SimplePolytope,
     apply_plan,
-    chi_ab,
     comb_iso,
     cut_face,
     cut_vertex,
@@ -155,23 +153,13 @@ def test_cut_face_guards():
         cut_face(cube(3), [0, 1])  # empty intersection
 
 
-# ------------------------------------------------------------ f/h/chi vectors
+# ---------------------------------------------------------------- f/h vectors
 
 
 def test_h_vector_pinned():
     for n in range(1, 7):
         assert h_vector(simplex(n)) == (1,) * (n + 1)
     assert h_vector(cut_vertex(simplex(3), 0)) == (1, 2, 2, 1)
-
-
-def test_chi_ab_values():
-    c = chi_ab(cut_vertex(simplex(3), 0))
-    assert isinstance(c, ChiPolynomial)
-    assert c.coefficients == (1, 2, 2, 1)
-    assert c(1, 1) == 6
-    for n in range(1, 6):
-        p = simplex(n)
-        assert chi_ab(p)(1, 1) == len(p.vertices)
 
 
 def test_f_vector_work_guard(monkeypatch):
@@ -388,7 +376,6 @@ def test_rigidity_demo(n):
     assert rep.iso_found
     assert rep.h_match
     assert rep.deltas_differ
-    assert rep.chi(1, 1) == sum(rep.h_first)
     assert rep.delta_point == s_kn(n, 0)
     assert rep.delta_top == s_kn(n, n - 2)
 
