@@ -110,6 +110,17 @@ def _plan_from_document(doc: dict) -> planner.ModificationPlan:
     )
 
 
+def _carries_vertices(
+    mapping: tuple[int, ...] | None, p: polytope.SimplePolytope, q: polytope.SimplePolytope
+) -> bool:
+    """Checked outside the isomorphism search: the bijection carries p's vertices onto q's."""
+    return (
+        mapping is not None
+        and len(p.vertices) == len(q.vertices)
+        and {frozenset(mapping[f] for f in v) for v in p.vertices} == set(q.vertices)
+    )
+
+
 def cmd_milnor(args: argparse.Namespace) -> Result:
     n, k = args.n, args.k
     if n > _MILNOR_MAX_N:
@@ -207,16 +218,10 @@ def cmd_polytope_iso(args: argparse.Namespace) -> Result:
     print("combinatorially isomorphic" if found else "no isomorphism found")
     if found:
         print(f"facet bijection: {list(mapping)}")
-    # Checked outside the search: the bijection carries p's vertices onto q's.
-    carries = (
-        found
-        and len(p.vertices) == len(q.vertices)
-        and {frozenset(mapping[f] for f in v) for v in p.vertices} == set(q.vertices)
-    )
     return (
         {"first": args.first, "second": args.second},
         {"isomorphic": found, "facet_bijection": list(mapping) if found else None},
-        {"isomorphic": found, "bijection_carries_vertices": carries},
+        {"isomorphic": found, "bijection_carries_vertices": _carries_vertices(mapping, p, q)},
     )
 
 
@@ -252,7 +257,14 @@ def cmd_polytope_apply_plan(args: argparse.Namespace) -> Result:
         "vertex_count_closed_form": len(result.vertices) == closed_vertices
         and result.facet_count == closed_facets,
     }
-    outputs = {"dim": result.dim, "facets": result.facet_count, "vertex_count": len(result.vertices)}
+    # The plan is played whether or not it is a generator, so the
+    # Milnor-Novikov verdict is reported, not checked.
+    outputs = {
+        "dim": result.dim,
+        "facets": result.facet_count,
+        "vertex_count": len(result.vertices),
+        "is_generator": planner.milnor_novikov_check(plan.n, plan.predicted_milnor).is_generator,
+    }
     return {"plan": args.plan}, outputs, checks
 
 
@@ -268,6 +280,7 @@ def cmd_polytope_rigidity(args: argparse.Namespace) -> Result:
     }
     checks = {
         "iso_found": rep.iso_found,
+        "bijection_carries_vertices": _carries_vertices(rep.facet_bijection, rep.first, rep.last),
         "h_vectors_equal": rep.h_match,
         "deltas_differ": rep.deltas_differ,
     }

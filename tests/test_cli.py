@@ -207,9 +207,13 @@ def test_polytope_apply_plan(tmp_path):
         "predicted_milnor": str(5 - 10),
     }
     plan_file.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["polytope", "apply-plan", "--plan", str(plan_file), "--out", str(out)]) == 0
+    report = tmp_path / "report.json"
+    argv = ["polytope", "apply-plan", "--plan", str(plan_file), "--out", str(out)]
+    assert main(argv + ["--json", str(report)]) == 0
     result = polytope.from_dict(read_json(out))
     assert len(result.vertices) == 18
+    # n + 1 = 5 is prime, so s = -5 is a generator
+    assert read_json(report)["outputs"]["is_generator"] is True
     # corrupt the predicted value: verification must fail before any cutting
     doc["predicted_milnor"] = "99"
     plan_file.write_text(json.dumps(doc), encoding="utf-8")
@@ -218,6 +222,19 @@ def test_polytope_apply_plan(tmp_path):
     doc.update(a=50, base_milnor="21", predicted_milnor=str(21 - 10))
     plan_file.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
+
+
+def test_polytope_apply_plan_reports_non_generators(tmp_path):
+    # a verified plan that is not a generator still plays: the verdict is an
+    # output, not a check (n + 1 = 6 is not a prime power, s = 6 - 8 = -2)
+    plan_file = tmp_path / "plan.json"
+    doc = {"n": 5, "a": 1, "base_milnor": "6", "counts": [1, 0, 0, 0], "predicted_milnor": "-2"}
+    plan_file.write_text(json.dumps(doc), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file), "--json", str(report)]) == 0
+    report = read_json(report)
+    assert report["outputs"]["is_generator"] is False
+    assert [c["name"] for c in report["checks"]] == ["plan_verified", "vertex_count_closed_form"]
 
 
 def test_polytope_apply_plan_checks_closed_form(tmp_path, monkeypatch, capsys):
@@ -330,7 +347,21 @@ def test_polytope_rigidity(tmp_path):
     report = read_json(out)
     assert report["outputs"]["delta_point"] == "-4"
     assert report["outputs"]["delta_top"] == "-2"
+    assert [c["name"] for c in report["checks"]] == [
+        "iso_found",
+        "bijection_carries_vertices",
+        "h_vectors_equal",
+        "deltas_differ",
+    ]
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_polytope_rigidity_checks_bijection_outside_search(monkeypatch, capsys):
+    # the identity is a facet permutation but not an isomorphism of the two cuts
+    monkeypatch.setattr(cli.polytope, "comb_iso", lambda p, q: tuple(range(p.facet_count)))
+    assert main(["polytope", "rigidity", "--n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] iso_found" in out and "[FAIL] bijection_carries_vertices" in out
 
 
 def test_reproduce_passes(tmp_path, monkeypatch, capsys):

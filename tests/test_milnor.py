@@ -77,12 +77,6 @@ def test_point_blowup_delta():
         assert point_blowup_delta(n) == -s_dkn(n, 0)
 
 
-def test_L_pinned_tables():
-    assert L_kn(4, 2) == 25
-    assert [L_kn(6, k) for k in (2, 3, 4)] == [70, -189, 238]
-    assert [L_kn(8, k) for k in range(2, 7)] == [135, -513, 1173, -1881, 1755]
-
-
 def test_L_range_errors():
     with pytest.raises(ValueError):
         L_kn(6, 1)

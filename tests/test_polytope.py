@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -243,24 +244,6 @@ def test_comb_iso_nontrivial_relabeling():
 # --------------------------------------------------- complementary truncation
 
 
-def test_figure_one_reproduction():
-    assert verify_complementary_equiv(simplex(3), 0, 0)
-
-
-@pytest.mark.parametrize("n", range(3, 7))
-def test_complementary_equiv_simplices(n):
-    p = simplex(n)
-    for k in range(n - 1):
-        assert verify_complementary_equiv(p, 0, k), (n, k)
-
-
-@pytest.mark.parametrize("n", range(4, 7))
-def test_complementary_equiv_products(n):
-    p = plan_base(n)
-    for k in range(n - 1):
-        assert verify_complementary_equiv(p, 0, k), (n, k)
-
-
 def test_complementary_equiv_other_vertices():
     p = plan_base(4)
     for v in (0, 3, len(p.vertices) - 1):
@@ -348,6 +331,93 @@ def test_apply_plan_h_vector_matches_closed_form():
             assert len(result.vertices) == plan_vertex_count(n, counts)
 
 
+def replay_apply_plan(plan):
+    """The rebuild-per-cut replay: a fully validated SimplePolytope after every cut.
+
+    Each modification cuts the first vertex, names the fresh simplex facet's
+    vertices by a scan, and cuts the face of the first k+1 of them, all
+    with the cut formula written out here.
+    """
+
+    def rebuild_cut(p, defining):
+        on_face = [v for v in p.vertices if defining <= v]
+        verts = [sorted(w) for w in p.vertices if not defining <= w]
+        for v in on_face:
+            verts += [sorted((v - {drop}) | {p.facet_count}) for drop in defining]
+        return SimplePolytope(p.dim, p.facet_count + 1, verts)
+
+    poly = plan_base(plan.n)
+    for k, count in enumerate(plan.counts):
+        for _ in range(count):
+            g = poly.facet_count
+            poly = rebuild_cut(poly, poly.vertices[0])
+            fresh = [v for v in poly.vertices if g in v]
+            poly = rebuild_cut(poly, frozenset.intersection(*fresh[: k + 1]))
+    return poly
+
+
+def test_apply_plan_matches_rebuild_per_cut_replay():
+    rng = random.Random(41)
+    for n in range(3, 8):
+        only_first = [3] + [0] * (n - 2)
+        only_last = [0] * (n - 2) + [3]
+        mixed = [[rng.randrange(1, 4) for _ in range(n - 1)] for _ in range(3)]
+        for counts in [only_first, only_last] + mixed:
+            plan = toy_plan(n, counts)
+            assert to_dict(apply_plan(plan)) == to_dict(replay_apply_plan(plan)), (n, counts)
+
+
+def _duplicate(step):
+    return lambda v, d, g: step(v, d, g) + step(v, d, g)[:1]
+
+
+def _drop_one(step):
+    return lambda v, d, g: step(v, d, g)[1:]
+
+
+def _drop_all(step):
+    return lambda v, d, g: []
+
+
+def _collide(step):
+    # (0, 1, 3) is a vertex of simplex(3) off the cut vertex (0, 1, 2)
+    return lambda v, d, g: step(v, d, g)[1:] + [(0, 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (_duplicate, "duplicate vertex"),
+        (_collide, "duplicate vertex"),
+        (_drop_one, "ridge contained in 1 vertices"),
+        (_drop_all, "facet without any vertex"),
+    ],
+)
+def test_each_cut_validates_what_it_changed(monkeypatch, broken, message):
+    monkeypatch.setattr(polytope, "_replacements", broken(polytope._replacements))
+    # the cut alone raises: no SimplePolytope is built here
+    incidence = polytope._Incidence(simplex(3))
+    with pytest.raises(ValueError, match=message):
+        incidence.cut((0, 1, 2))
+    with pytest.raises(ValueError):
+        apply_plan(toy_plan(4, (1, 1, 0)))
+
+
+@pytest.mark.parametrize("n, budget", [(3, 5.0), (32, 10.0)])
+def test_apply_plan_at_vertex_limit_within_stated_bound(n, budget):
+    # n = 3 makes the most cuts per vertex; n = 32 with k = n-2 was the
+    # slowest plan measured at the limit among n <= 32
+    limit = polytope._APPLY_PLAN_VERTEX_LIMIT
+    base = plan_vertex_count(n, [0] * (n - 1))
+    per_modification = plan_vertex_count(n, [0] * (n - 2) + [1]) - base
+    counts = [0] * (n - 2) + [(limit - base) // per_modification]
+    start = time.perf_counter()
+    result = apply_plan(toy_plan(n, counts))
+    assert time.perf_counter() - start < budget
+    assert len(result.vertices) == plan_vertex_count(n, counts)
+    assert len(result.vertices) > limit - per_modification
+
+
 def test_apply_plan_vertex_limit(monkeypatch):
     at_limit = toy_plan(4, (1, 0, 0))  # 18 vertices
     monkeypatch.setattr(polytope, "_APPLY_PLAN_VERTEX_LIMIT", plan_vertex_count(4, (1, 0, 0)))
@@ -355,9 +425,10 @@ def test_apply_plan_vertex_limit(monkeypatch):
     with pytest.raises(ValueError, match="past the apply-plan limit"):
         apply_plan(toy_plan(4, (0, 1, 0)))  # 19 vertices
     monkeypatch.undo()
-    # the default limit (5,000) refuses this 5,008-vertex plan before any cut
+    # the default limit (10,000) refuses this 10,004-vertex plan before any cut
+    assert plan_vertex_count(3, (2499, 0)) == 10_004
     with pytest.raises(ValueError, match="past the apply-plan limit"):
-        apply_plan(toy_plan(3, (1250, 0)))
+        apply_plan(toy_plan(3, (2499, 0)))
 
 
 def test_apply_plan_dimension_mismatch():
@@ -368,16 +439,6 @@ def test_apply_plan_dimension_mismatch():
 
 
 # ------------------------------------------------------------------- rigidity
-
-
-@pytest.mark.parametrize("n", range(3, 7))
-def test_rigidity_demo(n):
-    rep = rigidity_demo(n)
-    assert rep.iso_found
-    assert rep.h_match
-    assert rep.deltas_differ
-    assert rep.delta_point == s_kn(n, 0)
-    assert rep.delta_top == s_kn(n, n - 2)
 
 
 def test_rigidity_pinned_deltas():
