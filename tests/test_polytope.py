@@ -441,6 +441,20 @@ def test_apply_plan_dimension_mismatch():
 # ------------------------------------------------------------------- rigidity
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_rigidity_demo(n):
+    rep = rigidity_demo(n)
+    assert rep.iso_found
+    assert rep.h_match
+    assert rep.deltas_differ
+    assert rep.delta_point == s_kn(n, 0)
+    assert rep.delta_top == s_kn(n, n - 2)
+    # the report's polytopes are the ones its bijection and h-vectors describe
+    assert (h_vector(rep.first), h_vector(rep.last)) == (rep.h_first, rep.h_last)
+    mapped = {frozenset(rep.facet_bijection[f] for f in v) for v in rep.first.vertices}
+    assert mapped == set(rep.last.vertices)
+
+
 def test_rigidity_pinned_deltas():
     r3 = rigidity_demo(3)
     assert (r3.delta_point, r3.delta_top) == (-4, -2)
