@@ -24,6 +24,7 @@ checks in under 5 s; ``milnor`` refuses n > 400 with exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -228,7 +229,7 @@ def cmd_polytope_iso(args: argparse.Namespace) -> Result:
 def cmd_polytope_hvec(args: argparse.Namespace) -> Result:
     p = _load_polytope(args.infile)
     fv = polytope.f_vector(p, force=args.force)
-    hv = polytope.h_vector(p, force=args.force)
+    hv = polytope.h_from_f(fv)
     print(f"f-vector: {list(fv)}")
     print(f"h-vector: {list(hv)}")
     checks = {
@@ -337,7 +338,9 @@ def cmd_reproduce(args: argparse.Namespace) -> Result:
     return {"max_n": top}, outputs, checks
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="cobforge",
         description="Exact Milnor-number bookkeeping for blow-up modifications, "

@@ -196,6 +196,23 @@ def test_polytope_hvec(tmp_path):
     assert report["outputs"]["f_vector"] == [6, 9, 5, 1]
 
 
+def test_polytope_hvec_enumerates_faces_once(tmp_path, monkeypatch):
+    infile = tmp_path / "cube.json"
+    write_polytope(infile, polytope.product(polytope.simplex(2), polytope.simplex(1)))
+    calls = []
+    f_vector = polytope.f_vector
+
+    def counted(p, force=False):
+        calls.append(p)
+        return f_vector(p, force=force)
+
+    monkeypatch.setattr(cli.polytope, "f_vector", counted)
+    out = tmp_path / "hvec.json"
+    assert main(["polytope", "hvec", "--infile", str(infile), "--json", str(out)]) == 0
+    assert len(calls) == 1
+    assert read_json(out)["outputs"]["h_vector"] == [1, 2, 2, 1]
+
+
 def test_polytope_apply_plan(tmp_path):
     plan_file = tmp_path / "plan.json"
     out = tmp_path / "poly.json"
@@ -401,6 +418,27 @@ def test_recursion_error_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.polytope, "comb_iso", deep_iso)
     assert main(["polytope", "iso", "--first", str(first), "--second", str(first)]) == 1
     assert capsys.readouterr().err == "error: maximum recursion depth exceeded\n"
+
+
+def test_deeply_nested_document_exits_one(tmp_path, capsys):
+    # json.load recurses once per nesting level
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    second = tmp_path / "b.json"
+    write_polytope(second, polytope.simplex(3))
+    assert main(["polytope", "iso", "--first", str(deep), "--second", str(second)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_built_once_without_state_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    report = tmp_path / "report.json"
+    argv = ["witness", "--n", "14", "--p", "3"]
+    assert main(argv + ["--json", str(report)]) == 0
+    report.unlink()
+    assert main(argv) == 0
+    assert not report.exists()
 
 
 def test_reproduce_detects_corrupted_table(monkeypatch):

@@ -241,6 +241,150 @@ def test_comb_iso_nontrivial_relabeling():
     assert mapped == set(relabeled.vertices)
 
 
+def relabelled(p, rng):
+    perm = list(range(p.facet_count))
+    rng.shuffle(perm)
+    return SimplePolytope(p.dim, p.facet_count, [[perm[f] for f in v] for v in p.vertices])
+
+
+def carries_vertices(iso, p, q):
+    return iso is not None and {frozenset(iso[f] for f in v) for v in p.vertices} == set(q.vertices)
+
+
+def round_based_labels(p):
+    """Weisfeiler-Leman by rounds: re-sort every facet's neighbour labels until stable."""
+    adj = [set() for _ in range(p.facet_count)]
+    degree = [0] * p.facet_count
+    for v in p.vertices:
+        for a in v:
+            degree[a] += 1
+            adj[a].update(v - {a})
+    labels = degree
+    for _ in range(p.facet_count):
+        sigs = [(labels[i], tuple(sorted(labels[j] for j in adj[i]))) for i in range(p.facet_count)]
+        compress = {s: t for t, s in enumerate(sorted(set(sigs)))}
+        renamed = [compress[s] for s in sigs]
+        if renamed == labels:
+            break
+        labels = renamed
+    return labels
+
+
+def degrees(p):
+    return [len(face(p, [f]).vertex_set) for f in range(p.facet_count)]
+
+
+def stable_colours(p):
+    _, adj = polytope._facet_graph(p)
+    return polytope._stable_colours(degrees(p), adj)
+
+
+def partition(labels):
+    classes = {}
+    for i, c in enumerate(labels):
+        classes.setdefault(c, set()).add(i)
+    return sorted(map(sorted, classes.values()))
+
+
+def seeded_polytopes(seed):
+    rng = random.Random(seed)
+    polys = [random_polytope(rng) for _ in range(40)]
+    for n in range(3, 8):
+        for _ in range(3):
+            polys.append(apply_plan(toy_plan(n, [rng.randrange(3) for _ in range(n - 1)])))
+    return polys
+
+
+def test_stable_colours_match_round_based_oracle():
+    polys = seeded_polytopes(41)
+    for p in polys:
+        assert partition(stable_colours(p)) == partition(round_based_labels(p)), p
+    # not vacuous: the refinement splits past the degree classes somewhere
+    assert any(len(partition(stable_colours(p))) > len(set(degrees(p))) for p in polys)
+
+
+def test_colours_agree_under_found_bijection():
+    rng = random.Random(43)
+    for p in seeded_polytopes(43):
+        q = relabelled(p, rng)
+        iso = comb_iso(p, q)
+        assert carries_vertices(iso, p, q)
+        colours_p, colours_q = stable_colours(p), stable_colours(q)
+        assert [colours_q[iso[f]] for f in range(p.facet_count)] == colours_p
+
+
+def test_comb_iso_at_ten_thousand_facets(monkeypatch):
+    # n = 3 with 5,000 modifications (10,000 cuts): 10,006 facets, past the
+    # apply-plan vertex limit, so the limit is lifted for the construction
+    monkeypatch.setattr(polytope, "_APPLY_PLAN_VERTEX_LIMIT", 10**6)
+    rng = random.Random(47)
+    first = rng.randrange(5001)
+    p = apply_plan(toy_plan(3, (first, 5000 - first)))
+    q = relabelled(p, rng)
+    assert p.facet_count == 10_006
+    start = time.perf_counter()
+    iso = comb_iso(p, q)
+    assert time.perf_counter() - start < 10.0
+    assert carries_vertices(iso, p, q)
+
+
+def incidence_graph(nx, p):
+    g = nx.Graph()
+    g.add_nodes_from((("facet", f) for f in range(p.facet_count)), side="facet")
+    for vid, v in enumerate(p.vertices):
+        g.add_node(("vertex", vid), side="vertex")
+        g.add_edges_from((("vertex", vid), ("facet", f)) for f in v)
+    return g
+
+
+def networkx_isomorphic(p, q):
+    nx = pytest.importorskip("networkx")
+    return nx.is_isomorphic(
+        incidence_graph(nx, p),
+        incidence_graph(nx, q),
+        node_match=lambda a, b: a["side"] == b["side"],
+    )
+
+
+def same_size_pairs():
+    """The existing non-isomorphic pairs, and same-size pairs of random cut sequences."""
+    base = plan_base(4)
+    g = base.facet_count
+    q = cut_vertex(base, 0)
+    gverts = [v for v in q.vertices if g in v]
+    vertex_face = frozenset.intersection(*gverts[:1])
+    pairs = [
+        (simplex(3), cube(3)),
+        (cut_vertex(simplex(3), 0), simplex(3)),
+        (cut_face(q, vertex_face), cut_face(q, frozenset([g, min(vertex_face - {g})]))),
+    ]
+    rng = random.Random(53)
+    by_size = {}
+    for _ in range(300):
+        p = random_polytope(rng)
+        by_size.setdefault((p.dim, p.facet_count, len(p.vertices)), []).append(p)
+    for same in by_size.values():
+        pairs += zip(same, same[1:])
+    return pairs
+
+
+def test_comb_iso_agrees_with_networkx():
+    rng = random.Random(59)
+    for n in range(3, 8):
+        for _ in range(2):
+            p = apply_plan(toy_plan(n, [rng.randrange(4) for _ in range(n - 1)]))
+            q = relabelled(p, rng)
+            assert networkx_isomorphic(p, q)
+            assert carries_vertices(comb_iso(p, q), p, q)
+    verdicts = []
+    for p, q in same_size_pairs():
+        expected = networkx_isomorphic(p, q)
+        assert (comb_iso(p, q) is not None) == expected, (p, q)
+        verdicts.append(expected)
+    # not vacuous: same-size pairs that are not isomorphic, and some that are
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
 # --------------------------------------------------- complementary truncation
 
 
