@@ -66,16 +66,15 @@ def _load_polytope(path: str) -> polytope.SimplePolytope:
         return polytope.from_dict(json.load(fh))
 
 
-def _store_polytope(p: polytope.SimplePolytope, path: str) -> None:
+def _write_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polytope.to_dict(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _plan_document(plan: planner.ModificationPlan) -> dict:
     return {
         "n": plan.n,
-        "a": plan.a,
+        "a": str(plan.a),
         "base_milnor": str(plan.base_milnor),
         "counts": list(plan.counts),
         "predicted_milnor": str(plan.predicted_milnor),
@@ -94,10 +93,10 @@ def _milnor_value(doc: dict, key: str) -> int:
 def _plan_from_document(doc: dict) -> planner.ModificationPlan:
     if not isinstance(doc, dict):
         raise ValueError("plan document must be a JSON object")
-    n, a = doc["n"], doc["a"]
-    if type(n) is not int or type(a) is not int:
-        raise ValueError("plan document: n and a must be integers")
-    base = chern.adjustable_base_spec(n, a)
+    n = doc["n"]
+    if type(n) is not int:
+        raise ValueError("plan document: n must be an integer")
+    base = chern.adjustable_base_spec(n, _milnor_value(doc, "a"))
     base_milnor = _milnor_value(doc, "base_milnor")
     counts = doc["counts"]
     if not isinstance(counts, list) or not all(type(c) is int for c in counts):
@@ -184,7 +183,7 @@ def cmd_polytope_cut_vertex(args: argparse.Namespace) -> Result:
     p = _load_polytope(args.infile)
     result = polytope.cut_vertex(p, args.vertex)
     if args.out:
-        _store_polytope(result, args.out)
+        _write_json(polytope.to_dict(result), args.out)
     print(f"cut vertex {args.vertex}: {result!r}")
     checks = {"vertex_count_delta": len(result.vertices) == len(p.vertices) + p.dim - 1}
     return (
@@ -200,7 +199,7 @@ def cmd_polytope_cut_face(args: argparse.Namespace) -> Result:
     cut = polytope.face(p, defining)
     result = polytope.cut_face(p, defining)
     if args.out:
-        _store_polytope(result, args.out)
+        _write_json(polytope.to_dict(result), args.out)
     print(f"cut face {sorted(cut.defining_facets)}: {result!r}")
     expected_delta = len(cut.vertex_set) * (cut.codim - 1)
     checks = {"vertex_count_delta": len(result.vertices) == len(p.vertices) + expected_delta}
@@ -247,7 +246,7 @@ def cmd_polytope_apply_plan(args: argparse.Namespace) -> Result:
         return {"plan": args.plan}, {}, {"plan_verified": verified}
     result = polytope.apply_plan(plan)
     if args.out:
-        _store_polytope(result, args.out)
+        _write_json(polytope.to_dict(result), args.out)
     print(f"applied plan for n={plan.n}: {result!r}")
     # Each modification adds two facets (a vertex cut and a face cut) to the
     # n+3 facets of the base; the vertex count has its own closed form.
@@ -425,9 +424,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "outputs": outputs,
                 "checks": [{"name": name, "passed": bool(ok)} for name, ok in checks.items()],
             }
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(report, args.json)
             print(f"report written to {args.json}")
     except (ValueError, OSError, KeyError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

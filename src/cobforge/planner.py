@@ -1,11 +1,11 @@
 """Constructing modification plans that land on Milnor number 1.
 
-For even n with n+1 not a prime power, the s_kn row has gcd 1, so the
-difference between the Milnor number of a suitable base projectivisation and
-the target value 1 decomposes as a nonnegative combination of the negated
-row.  The plan records how many modifications of each kind to apply; an
-independent recomputation path and the Milnor-Novikov generator criterion
-validate the result.
+For even n with n+1 not a prime power, the base projectivisation
+``chern.adjustable_base_spec(n, a)`` has Milnor number (n+1)*a and each
+modification of type k changes it by s_kn(n, k).  The plan takes the twist a
+and the modification counts from one nonnegative solution of
+(n+1)*a + sum(c_k * s_kn(n, k)) = 1.  An independent recomputation path and
+the Milnor-Novikov generator criterion validate the result.
 """
 
 from __future__ import annotations
@@ -78,13 +78,16 @@ class ModificationPlan:
 def construct_plan(n: int) -> ModificationPlan:
     """Plan reaching Milnor number 1 in even dimension n, n+1 not a prime power.
 
-    The solver basis is the negated s_kn row reordered so that the positive
-    entry -s_kn(n, 1) = n+1 comes first.  The base twist is a = 1, so the
-    target is (n+1)*a - 1 = n.  The row has gcd 1 and, for every admissible
-    even n <= 100 (checked in the tests), a negative entry, so
-    ``frobenius.represent`` decomposes any target and no larger twist is
-    needed.  Plans exist, verify and pass the generator criterion for every
-    admissible even n <= 100; the tests bound each such n to under 1 s.
+    With b_k = -s_kn(n, k), the plan solves (n+1)*a - sum(c_k * b_k) = 1 for
+    the base twist a and the counts c_k together: ``frobenius.represent``
+    writes -1 over the positive b_k plus -(n+1), and that last coefficient
+    is a.  The positive entries with n+1 have gcd 1 (checked in the tests).
+    For every admissible even n <= 100, -(n+1) is also the smallest |entry|,
+    so the lift has period 1 and no sign trade reaches the counts: c is a
+    shortest path of the Apery distance d, the smallest combination of
+    positive b_k congruent to -1 mod n+1, and a = (d+1)/(n+1).  Plans exist,
+    verify and pass the generator criterion for every such n, with at most
+    n/2 modifications; the tests bound each such n to under 1 s.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
@@ -94,20 +97,20 @@ def construct_plan(n: int) -> ModificationPlan:
     if not holds:
         raise ValueError("s_kn row gcd is not 1")
 
-    ks = [1, 0] + list(range(2, n - 1))
-    basis = [-milnor.s_kn(n, k) for k in ks]
-    rep = frobenius.represent(n, basis)
+    row = [-milnor.s_kn(n, k) for k in range(n - 1)]
+    ks = [k for k, b in enumerate(row) if b > 0]
+    rep = frobenius.represent(-1, [row[k] for k in ks] + [-(n + 1)])
+    *used, a = rep.coefficients
 
     counts = [0] * (n - 1)
-    for pos, k in enumerate(ks):
-        counts[k] = rep.coefficients[pos]
+    for k, c in zip(ks, used):
+        counts[k] = c
 
-    base = chern.adjustable_base_spec(n, 1)
-    base_milnor = n + 1
-    predicted = base_milnor + sum(c * milnor.s_kn(n, k) for k, c in enumerate(counts))
+    base_milnor = (n + 1) * a
+    predicted = base_milnor - sum(c * b for c, b in zip(counts, row))
     return ModificationPlan(
         n=n,
-        base=base,
+        base=chern.adjustable_base_spec(n, a),
         base_milnor=base_milnor,
         counts=tuple(counts),
         predicted_milnor=predicted,

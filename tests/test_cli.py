@@ -89,16 +89,17 @@ def test_plan_report(tmp_path, capsys):
     assert main(["plan", "--n", "14", "--json", str(out)]) == 0
     report = read_json(out)
     doc = report["outputs"]["plan"]
-    assert doc["n"] == 14 and doc["a"] == 1
+    assert doc["n"] == 14 and doc["a"] == "3953"
     assert doc["predicted_milnor"] == "1"
-    assert doc["base_milnor"] == "15"
+    assert doc["base_milnor"] == str(15 * 3953)
     assert len(doc["counts"]) == 13
     assert all(c["passed"] for c in report["checks"])
     assert main(["plan", "--n", "4"]) == 1
 
 
 def test_plan_n50(capsys):
-    # a lift that steps one |entry| at a time runs for minutes on this n
+    # the base twist is a = 242,841,156,445,048, so base_milnor (~1.2e16) is
+    # past the exact range of 64-bit floats
     assert main(["plan", "--n", "50"]) == 0
     assert "plan: 2/2 checks passed" in capsys.readouterr().out
 
@@ -264,9 +265,34 @@ def test_polytope_apply_plan_checks_closed_form(tmp_path, monkeypatch, capsys):
     assert "[FAIL] vertex_count_closed_form" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n", [14, 50])
+@pytest.mark.parametrize("n, vertices", [(14, 188), (20, 340), (32, 724)])
+def test_shipped_plan_plays(tmp_path, n, vertices):
+    report = tmp_path / "plan-report.json"
+    assert main(["plan", "--n", str(n), "--json", str(report)]) == 0
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(read_json(report)["outputs"]["plan"]), encoding="utf-8")
+    out = tmp_path / "apply-report.json"
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file), "--json", str(out)]) == 0
+    out = read_json(out)
+    assert [c["name"] for c in out["checks"]] == ["plan_verified", "vertex_count_closed_form"]
+    assert all(c["passed"] for c in out["checks"])
+    assert out["outputs"]["is_generator"] is True
+    assert out["outputs"]["vertex_count"] == vertices
+
+
+@pytest.mark.parametrize("a", [str(10**30), 10**30])
+def test_polytope_apply_plan_reads_large_twist(tmp_path, a):
+    # a past the exact range of 64-bit floats, as a decimal string or an integer
+    milnor = str(15 * 10**30)
+    doc = {"n": 14, "a": a, "base_milnor": milnor, "counts": [0] * 13, "predicted_milnor": milnor}
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 0
+
+
+@pytest.mark.parametrize("n", [84, 98])
 def test_polytope_apply_plan_refuses_oversized_plans(tmp_path, capsys, n):
-    # the shipped plans have 31,838 (n=14) and ~7.8e10 (n=50) modifications
+    # the shipped plans build 13,438 (n=84) and 12,260 (n=98) vertices
     report = tmp_path / "plan-report.json"
     assert main(["plan", "--n", str(n), "--json", str(report)]) == 0
     plan_file = tmp_path / "plan.json"
