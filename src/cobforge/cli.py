@@ -96,15 +96,13 @@ def _plan_from_document(doc: dict) -> planner.ModificationPlan:
     n = doc["n"]
     if type(n) is not int:
         raise ValueError("plan document: n must be an integer")
-    base = chern.adjustable_base_spec(n, _milnor_value(doc, "a"))
-    base_milnor = _milnor_value(doc, "base_milnor")
     counts = doc["counts"]
     if not isinstance(counts, list) or not all(type(c) is int for c in counts):
         raise ValueError("plan document: counts must be a list of integers")
     return planner.ModificationPlan(
         n=n,
-        base=base,
-        base_milnor=base_milnor,
+        a=_milnor_value(doc, "a"),
+        base_milnor=_milnor_value(doc, "base_milnor"),
         counts=tuple(counts),
         predicted_milnor=_milnor_value(doc, "predicted_milnor"),
     )
@@ -159,10 +157,7 @@ def cmd_witness(args: argparse.Namespace) -> Result:
     k, residue = milnor.witness_k(n, p)
     value = milnor.L_kn(n, k)
     print(f"witness for (n={n}, p={p}): k = {k}, L({n},{k}) = {value}, residue {residue} mod {p}")
-    checks = {
-        "witness_in_range": 2 <= k <= n - 2,
-        "L_not_divisible": value % p == residue != 0,
-    }
+    checks = {"L_not_divisible": value % p == residue}
     return {"n": n, "p": p}, {"k": k, "L": str(value), "residue": residue}, checks
 
 
@@ -227,7 +222,7 @@ def cmd_polytope_iso(args: argparse.Namespace) -> Result:
 
 def cmd_polytope_hvec(args: argparse.Namespace) -> Result:
     p = _load_polytope(args.infile)
-    fv = polytope.f_vector(p, force=args.force)
+    fv = polytope.f_vector(p)
     hv = polytope.h_from_f(fv)
     print(f"f-vector: {list(fv)}")
     print(f"h-vector: {list(hv)}")
@@ -395,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hv = command(poly_sub, "hvec", cmd_polytope_hvec)
     p_hv.add_argument("--infile", required=True)
-    p_hv.add_argument("--force", action="store_true")
 
     p_ap = command(poly_sub, "apply-plan", cmd_polytope_apply_plan)
     p_ap.add_argument("--plan", required=True, help="plan JSON file")

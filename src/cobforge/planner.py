@@ -43,7 +43,7 @@ def milnor_novikov_check(n: int, s: int) -> GeneratorVerdict:
 
 @dataclass(frozen=True)
 class ModificationPlan:
-    """A base projectivisation plus modification counts per parameter k.
+    """The plan document's fields: base twist a plus counts per parameter k.
 
     ``counts[k]`` is the number of two-stage modifications with parameter k
     to apply; ``predicted_milnor`` must equal base_milnor plus the weighted
@@ -53,26 +53,28 @@ class ModificationPlan:
     """
 
     n: int
-    base: chern.ProjBundleSpec
+    a: int
     base_milnor: int
     counts: tuple[int, ...]
     predicted_milnor: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
-        if type(self.n) is not int or not all(type(c) is int for c in self.counts):
-            raise ValueError("n and every count must be integers")
-        if self.n < 2:
-            raise ValueError("dimension n must be >= 2")
+        if not all(type(x) is int for x in (self.n, self.a, *self.counts)):
+            raise ValueError("n, a and every count must be integers")
+        if self.a < 1:
+            raise ValueError("the base twist a must be >= 1")
+        if self.n < 3:
+            raise ValueError("dimension n must be >= 3")
         if len(self.counts) != self.n - 1:
             raise ValueError("counts must cover k = 0..n-2")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
 
     @property
-    def a(self) -> int:
-        """Twist parameter of the base bundle; base_milnor = (n+1)*a."""
-        return self.base_milnor // (self.n + 1)
+    def base(self) -> chern.ProjBundleSpec:
+        """The base the counts modify, with Milnor number (n+1)*a."""
+        return chern.adjustable_base_spec(self.n, self.a)
 
 
 def construct_plan(n: int) -> ModificationPlan:
@@ -110,7 +112,7 @@ def construct_plan(n: int) -> ModificationPlan:
     predicted = base_milnor - sum(c * b for c, b in zip(counts, row))
     return ModificationPlan(
         n=n,
-        base=chern.adjustable_base_spec(n, a),
+        a=a,
         base_milnor=base_milnor,
         counts=tuple(counts),
         predicted_milnor=predicted,

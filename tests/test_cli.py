@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cobforge import cli, polytope
+from cobforge import cli, planner, polytope
 from cobforge.cli import main
 
 
@@ -81,7 +81,17 @@ def test_witness(tmp_path):
     report = read_json(out)
     assert report["outputs"]["k"] == 5
     assert int(report["outputs"]["residue"]) != 0
+    assert [c["name"] for c in report["checks"]] == ["L_not_divisible"]
     assert main(["witness", "--n", "8", "--p", "3"]) == 1
+
+
+def test_witness_checks_residue_against_direct_L(monkeypatch, capsys):
+    # the digit-rule residue must match L mod p computed from the big integer
+    k, residue = cli.milnor.witness_k(14, 5)
+    wrong = next(r for r in range(1, 5) if r != residue)
+    monkeypatch.setattr(cli.milnor, "witness_k", lambda n, p: (k, wrong))
+    assert main(["witness", "--n", "14", "--p", "5"]) == 1
+    assert "[FAIL] L_not_divisible" in capsys.readouterr().out
 
 
 def test_plan_report(tmp_path, capsys):
@@ -203,15 +213,26 @@ def test_polytope_hvec_enumerates_faces_once(tmp_path, monkeypatch):
     calls = []
     f_vector = polytope.f_vector
 
-    def counted(p, force=False):
+    def counted(p):
         calls.append(p)
-        return f_vector(p, force=force)
+        return f_vector(p)
 
     monkeypatch.setattr(cli.polytope, "f_vector", counted)
     out = tmp_path / "hvec.json"
     assert main(["polytope", "hvec", "--infile", str(infile), "--json", str(out)]) == 0
     assert len(calls) == 1
     assert read_json(out)["outputs"]["h_vector"] == [1, 2, 2, 1]
+
+
+def test_polytope_hvec_refuses_past_work_limit(tmp_path, capsys):
+    # the shipped n = 20 plan's polytope: 340 * 2^20 subsets, past the 2^25 limit
+    infile = tmp_path / "n20.json"
+    write_polytope(infile, polytope.apply_plan(planner.construct_plan(20)))
+    start = time.perf_counter()
+    assert main(["polytope", "hvec", "--infile", str(infile)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: f-vector enumeration") and err.count("\n") == 1
 
 
 def test_polytope_apply_plan(tmp_path):
@@ -263,6 +284,24 @@ def test_polytope_apply_plan_checks_closed_form(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.polytope, "apply_plan", lambda plan: base)
     assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
     assert "[FAIL] vertex_count_closed_form" in capsys.readouterr().out
+
+
+# n = 14 with no modifications, whose base_milnor is not (n+1)*a = 30
+MISMATCHED_N14 = {
+    "n": 14, "a": "2", "base_milnor": "45", "counts": [0] * 13, "predicted_milnor": "45"
+}
+
+
+def test_plan_document_round_trips_unchanged():
+    assert cli._plan_document(cli._plan_from_document(MISMATCHED_N14)) == MISMATCHED_N14
+
+
+def test_polytope_apply_plan_refuses_mismatched_twist(tmp_path):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(MISMATCHED_N14), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file), "--json", str(report)]) == 1
+    assert read_json(report)["checks"] == [{"name": "plan_verified", "passed": False}]
 
 
 @pytest.mark.parametrize("n, vertices", [(14, 188), (20, 340), (32, 724)])

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from cobforge.arith import prime_power_check
-from cobforge.chern import adjustable_base_spec, milnor_projectivisation
+from cobforge.chern import milnor_projectivisation
 from cobforge.milnor import s_kn
 from cobforge.planner import (
     GeneratorVerdict,
@@ -101,7 +101,7 @@ def test_verify_plan_zero_counts():
     n = 14
     plan = ModificationPlan(
         n=n,
-        base=adjustable_base_spec(n, 1),
+        a=1,
         base_milnor=n + 1,
         counts=(0,) * (n - 1),
         predicted_milnor=n + 1,
@@ -128,9 +128,9 @@ def test_verify_plan_detects_tampering():
 
 def test_plan_shape_validation():
     with pytest.raises(ValueError):
-        ModificationPlan(14, adjustable_base_spec(14, 1), 15, (0,) * 5, 15)
+        ModificationPlan(14, 1, 15, (0,) * 5, 15)
     with pytest.raises(ValueError):
-        ModificationPlan(14, adjustable_base_spec(14, 1), 15, (-1,) + (0,) * 12, 15)
+        ModificationPlan(14, 1, 15, (-1,) + (0,) * 12, 15)
 
 
 @pytest.mark.parametrize(
@@ -143,4 +143,11 @@ def test_plan_shape_validation():
 )
 def test_plan_rejects_non_integer_fields(n, counts):
     with pytest.raises(ValueError, match="integers"):
-        ModificationPlan(n, adjustable_base_spec(4, 1), 5, counts, 5)
+        ModificationPlan(n, 1, 5, counts, 5)
+
+
+# the base adjustable_base_spec(n, a) needs a >= 1 and n >= 3
+@pytest.mark.parametrize("n, a", [(4, 0), (4, True), (4, 1.0), (2, 1)])
+def test_plan_rejects_fields_without_a_base(n, a):
+    with pytest.raises(ValueError):
+        ModificationPlan(n, a, 5, (0,) * (n - 1), 5)
