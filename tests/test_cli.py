@@ -107,6 +107,30 @@ def test_plan_report(tmp_path, capsys):
     assert main(["plan", "--n", "4"]) == 1
 
 
+def test_plan_n398_within_stated_bound(tmp_path):
+    # the largest admissible even n under plan's bound n <= 400: under 1 s
+    out = tmp_path / "plan.json"
+    start = time.perf_counter()
+    assert main(["plan", "--n", "398", "--json", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    report = read_json(out)
+    assert report["outputs"]["plan"]["predicted_milnor"] == "1"
+    assert [c["name"] for c in report["checks"] if c["passed"]] == [
+        "sum_identity_verified",
+        "milnor_novikov_generator",
+    ]
+
+
+def test_plan_refuses_n_past_stated_bound(capsys):
+    # n = 402 is admissible (403 = 13 * 31); only the bound refuses it
+    start = time.perf_counter()
+    assert main(["plan", "--n", "402"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "n <= 400" in captured.err and captured.out == ""
+
+
 def test_plan_n50(capsys):
     # the base twist is a = 242,841,156,445,048, so base_milnor (~1.2e16) is
     # past the exact range of 64-bit floats
@@ -205,6 +229,7 @@ def test_polytope_hvec(tmp_path):
     report = read_json(out)
     assert report["outputs"]["h_vector"] == [1, 2, 2, 1]
     assert report["outputs"]["f_vector"] == [6, 9, 5, 1]
+    assert report["checks"] == [{"name": "dehn_sommerville", "passed": True}]
 
 
 def test_polytope_hvec_enumerates_faces_once(tmp_path, monkeypatch):

@@ -1,11 +1,14 @@
 import pytest
 
+from cobforge import milnor
 from cobforge.arith import binomial, prime_power_check
+from cobforge.chern import dkn_spec, milnor_projectivisation
 from cobforge.milnor import (
     L_kn,
     coprimality_check,
     point_blowup_delta,
     s_dkn,
+    s_dkn_row,
     s_kn,
     witness_k,
 )
@@ -59,9 +62,29 @@ def test_s_kn_pinned_values():
 
 
 def test_s_kn_matches_expanded_form():
-    for n in range(2, 21):
+    for n in range(2, 41):
         for k in range(n - 1):
             assert s_kn(n, k) == s_kn_expanded(n, k), (n, k)
+
+
+def test_s_dkn_row_matches_expanded_form_to_n100():
+    # the recurrence row at its ends and middle against the binomial sum
+    for n in range(2, 101):
+        row = list(s_dkn_row(n))
+        assert len(row) == n - 1
+        for k in {0, 1, 2, n // 2, n - 3, n - 2} & set(range(n - 1)):
+            assert -row[k] + point_blowup_delta(n) == s_kn_expanded(n, k), (n, k)
+
+
+@pytest.mark.parametrize("n", [63, 64, 100])
+def test_s_dkn_row_matches_oracle(n):
+    for k, value in enumerate(s_dkn_row(n)):
+        assert value == milnor_projectivisation(dkn_spec(n, k)), (n, k)
+
+
+def test_s_dkn_row_range_error():
+    with pytest.raises(ValueError):
+        next(s_dkn_row(1))
 
 
 def test_s_kn_odd_dimensions_computable():
@@ -103,6 +126,22 @@ def test_coprimality_pinned():
     assert coprimality_check(14) == (1, True)
     assert coprimality_check(4) == (5, False)
     assert coprimality_check(20) == (1, True)
+
+
+def test_coprimality_reads_the_row_lazily(monkeypatch):
+    # gcd_list stops at the first gcd of 1: for n = 20000 (n+1 = 3 * 59 * 113)
+    # that is k = 113, so 114 of the row's 19,999 entries are built
+    read = []
+    row = milnor.s_dkn_row
+
+    def counted(n):
+        for value in row(n):
+            read.append(value)
+            yield value
+
+    monkeypatch.setattr(milnor, "s_dkn_row", counted)
+    assert coprimality_check(20000) == (1, True)
+    assert len(read) == 114
 
 
 def test_coprimality_rejects_odd():

