@@ -16,19 +16,10 @@ def is_prime(p: int) -> bool:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) by the multiplicative formula with exact division.
-
-    Returns 0 when k < 0 or k > n.
-    """
+    """C(n, k) by ``math.comb``; 0 when k < 0 or k > n, ``ValueError`` when n < 0."""
     if n < 0:
         raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:

@@ -84,8 +84,14 @@ def _plan_document(plan: planner.ModificationPlan) -> dict:
     }
 
 
+def _plan_field(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"plan document missing field {key!r}")
+    return doc[key]
+
+
 def _milnor_value(doc: dict, key: str) -> int:
-    value = doc[key]
+    value = _plan_field(doc, key)
     if type(value) is int:
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
@@ -96,10 +102,10 @@ def _milnor_value(doc: dict, key: str) -> int:
 def _plan_from_document(doc: dict) -> planner.ModificationPlan:
     if not isinstance(doc, dict):
         raise ValueError("plan document must be a JSON object")
-    n = doc["n"]
+    n = _plan_field(doc, "n")
     if type(n) is not int:
         raise ValueError("plan document: n must be an integer")
-    counts = doc["counts"]
+    counts = _plan_field(doc, "counts")
     if not isinstance(counts, list) or not all(type(c) is int for c in counts):
         raise ValueError("plan document: counts must be a list of integers")
     return planner.ModificationPlan(
@@ -108,17 +114,6 @@ def _plan_from_document(doc: dict) -> planner.ModificationPlan:
         base_milnor=_milnor_value(doc, "base_milnor"),
         counts=tuple(counts),
         predicted_milnor=_milnor_value(doc, "predicted_milnor"),
-    )
-
-
-def _carries_vertices(
-    mapping: tuple[int, ...] | None, p: polytope.SimplePolytope, q: polytope.SimplePolytope
-) -> bool:
-    """Checked outside the isomorphism search: the bijection carries p's vertices onto q's."""
-    return (
-        mapping is not None
-        and len(p.vertices) == len(q.vertices)
-        and {frozenset(mapping[f] for f in v) for v in p.vertices} == set(q.vertices)
     )
 
 
@@ -218,10 +213,11 @@ def cmd_polytope_iso(args: argparse.Namespace) -> Result:
     print("combinatorially isomorphic" if found else "no isomorphism found")
     if found:
         print(f"facet bijection: {list(mapping)}")
+    carried = polytope.carries_vertices(mapping, p, q)
     return (
         {"first": args.first, "second": args.second},
         {"isomorphic": found, "facet_bijection": list(mapping) if found else None},
-        {"isomorphic": found, "bijection_carries_vertices": _carries_vertices(mapping, p, q)},
+        {"isomorphic": found, "bijection_carries_vertices": carried},
     )
 
 
@@ -275,9 +271,10 @@ def cmd_polytope_rigidity(args: argparse.Namespace) -> Result:
         "delta_point": str(rep.delta_point),
         "delta_top": str(rep.delta_top),
     }
+    carried = polytope.carries_vertices(rep.facet_bijection, rep.first, rep.last)
     checks = {
         "iso_found": rep.iso_found,
-        "bijection_carries_vertices": _carries_vertices(rep.facet_bijection, rep.first, rep.last),
+        "bijection_carries_vertices": carried,
         "h_vectors_equal": rep.h_match,
         "deltas_differ": rep.deltas_differ,
     }

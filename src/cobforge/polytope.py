@@ -10,10 +10,11 @@ Geometric realizations are out of scope.
 Vertex truncation (the face truncation of codimension n) models the blow-up
 of a toric variety at a fixed point; truncating a k-face of the fresh simplex
 facet models the follow-up blow-up along a k-dimensional invariant subspace
-of the exceptional divisor (``_fresh_face``).  ``apply_plan`` plays a whole
-modification plan on ``plan_base(n)``, the moment polytope of its base, and
-``rigidity_demo`` exhibits the pair of modifications with combinatorially
-equivalent polytopes but different Milnor-number changes.
+of the exceptional divisor; the two cuts are one B_k step
+(``_Incidence.modify``).  ``apply_plan`` plays a whole modification plan on
+``plan_base(n)``, the moment polytope of its base, and ``rigidity_demo``
+exhibits the pair of modifications with combinatorially equivalent polytopes
+but different Milnor-number changes, checked by ``carries_vertices``.
 
 All truncation goes through one private mutable incidence, ``_Incidence``,
 whose ``cut`` edits only the vertices of the cut face (the cut formula of
@@ -175,10 +176,8 @@ def cut_vertex(p: SimplePolytope, vertex_index: int) -> SimplePolytope:
 
     A new facet replaces the vertex by dim new vertices; the i-th lies on the
     new facet and on all old facets of the vertex except the i-th (in sorted
-    order).
+    order).  Dimension 1 is refused by the cut itself.
     """
-    if p.dim < 2:
-        raise ValueError("vertex truncation needs dimension >= 2")
     return cut_face(p, _vertex_at(p, vertex_index))
 
 
@@ -303,8 +302,32 @@ class _Incidence:
             elif count != 2:
                 raise ValueError(f"ridge contained in {count} vertices, expected 2")
 
+    def modify(self, vertex: tuple[int, ...], k: int, side: int) -> None:
+        """One B_k step: cut ``vertex``, then the k-face (side 0) or its complement (side 1).
+
+        Both faces lie on the vertex cut's facet g.  In canonical order the
+        fresh vertex that drops f_i from the sorted vertex (f_1 < ... < f_n)
+        precedes the one that drops f_(i-1): where they first differ it has
+        f_(i-1), the other f_i.  So the k-face spanned by the first k+1 drops
+        f_n, ..., f_(n-k) and is vertex[:n-k-1] + (g,), and the face of the
+        other n-k-1 is vertex[n-k-1:] + (g,).
+        """
+        g = self.facet_count
+        self.cut(vertex)
+        split = len(vertex) - k - 1
+        self.cut((vertex[:split] if side == 0 else vertex[split:]) + (g,))
+
     def polytope(self) -> SimplePolytope:
         return SimplePolytope(self.dim, self.facet_count, self.vertices)
+
+
+def _check_fvector_work(vertices: int, dim: int) -> None:
+    """Refuse an f-vector enumeration of ``vertices`` * 2^``dim`` subsets past the limit."""
+    if vertices << dim > _FVECTOR_WORK_LIMIT:
+        raise ValueError(
+            f"f-vector enumeration of {vertices} vertices * 2^{dim} facet "
+            f"subsets is past the limit of 2^25 = {_FVECTOR_WORK_LIMIT} subsets"
+        )
 
 
 def f_vector(p: SimplePolytope) -> tuple[int, ...]:
@@ -313,22 +336,19 @@ def f_vector(p: SimplePolytope) -> tuple[int, ...]:
     A codimension-c face is a c-subset of facets with a nonempty common
     vertex set, and every such subset occurs inside some vertex's facet set,
     so enumeration walks the V * 2^n subsets of the V vertices; past 2^25 it
-    raises ``ValueError`` first.  At n = 14 ``polytope hvec`` took 12.2-12.7 s
-    and 343 MiB peak RSS on an ``apply_plan`` polytope with 1,872 vertices
-    (30.7M subsets), and 1-1.2 s and 51 MiB on the shipped plan's 188
-    vertices (Python 3.11, shared 2-vCPU host).
+    raises ``ValueError`` first.  Each codimension is counted from its own
+    set, so only one codimension's faces are held at a time.  At n = 14
+    ``polytope hvec`` took 6.9-7.8 s and 160 MiB peak RSS on an
+    ``apply_plan`` polytope with 1,872 vertices (30.7M subsets; 9.8-10.9 s
+    and 343 MiB with a set per codimension at once), and 0.7 s and 29 MiB
+    on the shipped plan's 188 vertices (Python 3.11, shared 2-vCPU host).
     """
-    if len(p.vertices) << p.dim > _FVECTOR_WORK_LIMIT:
-        raise ValueError(
-            f"f-vector enumeration of {len(p.vertices)} vertices * 2^{p.dim} facet "
-            f"subsets is past the limit of 2^25 = {_FVECTOR_WORK_LIMIT} subsets"
-        )
-    seen: list[set[tuple[int, ...]]] = [set() for _ in range(p.dim + 1)]
-    for v in p.vertices:
-        vt = sorted(v)
-        for c in range(p.dim + 1):
-            seen[c].update(itertools.combinations(vt, c))
-    return tuple(len(seen[p.dim - j]) for j in range(p.dim + 1))
+    _check_fvector_work(len(p.vertices), p.dim)
+    verts = [sorted(v) for v in p.vertices]
+    return tuple(
+        len(set(itertools.chain.from_iterable(itertools.combinations(v, c) for v in verts)))
+        for c in range(p.dim, -1, -1)
+    )
 
 
 def h_vector(p: SimplePolytope) -> tuple[int, ...]:
@@ -443,11 +463,13 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     facet with a placed neighbour u is only tried on the neighbours of u's
     image, and a candidate j for facet i is accepted in O(deg) when every
     placed neighbour of i maps into the neighbours of j and both have the
-    same number of placed neighbours.  Any vertex whose facets are all
-    placed must map onto a vertex of q, and a complete mapping is checked
-    on all vertices again.  Simple-polytope isomorphism is as hard as graph
-    isomorphism (Kaibel & Schwartz 2003), so the search is exact and its
-    worst case is exponential in m; when the colouring is discrete it
+    same number of placed neighbours.  A vertex whose last facet is placed
+    must map onto a vertex of q; an image changes only when a facet is
+    unplaced, which reopens the vertex, so a complete mapping (injective,
+    equal vertex counts) needs no final pass, and ``carries_vertices`` is
+    the check outside the search.  Simple-polytope isomorphism is as hard as
+    graph isomorphism (Kaibel & Schwartz 2003), so the search is exact and
+    its worst case is exponential in m; when the colouring is discrete it
     tries one candidate per facet.  A relabelled 10,006-facet polytope
     (n = 3) took 0.34-0.55 s (Python 3.11, shared 2-vCPU host).
     """
@@ -552,38 +574,31 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
             unplace(order[pos])
             continue
         pos += 1
-        if pos < m:
-            tries[pos] = iter(candidates(pos))
-        elif all(frozenset(map(image, v)) in q_vertex_set for v in p_verts):
+        if pos == m:
             return tuple(mapping)
-        else:
-            pos -= 1
-            unplace(order[pos])
+        tries[pos] = iter(candidates(pos))
 
 
-def _fresh_face(vertex: tuple[int, ...], g: int, k: int, side: int) -> tuple[int, ...]:
-    """The k-face (side 0) or its complement (side 1) of facet g cutting ``vertex``.
-
-    In canonical order the fresh vertex that drops f_i from the sorted vertex
-    (f_1 < ... < f_n) precedes the one that drops f_(i-1): where they first
-    differ it has f_(i-1), the other f_i.  So the k-face spanned by the
-    first k+1 drops f_n, ..., f_(n-k) and is vertex[:n-k-1] + (g,), and the
-    face of the other n-k-1 is vertex[n-k-1:] + (g,).
-    """
-    split = len(vertex) - k - 1
-    return (vertex[:split] if side == 0 else vertex[split:]) + (g,)
+def carries_vertices(
+    mapping: Optional[tuple[int, ...]], p: SimplePolytope, q: SimplePolytope
+) -> bool:
+    """Checked outside the isomorphism search: ``mapping`` carries p's vertices onto q's."""
+    return (
+        mapping is not None
+        and len(p.vertices) == len(q.vertices)
+        and {frozenset(mapping[f] for f in v) for v in p.vertices} == set(q.vertices)
+    )
 
 
 def _complementary_cuts(
     p: SimplePolytope, vertex_index: int, k: int
 ) -> tuple[SimplePolytope, SimplePolytope]:
-    """Cut a vertex of p, then either side of ``_fresh_face``: both polytopes."""
+    """Both sides of the B_k step ``_Incidence.modify`` on a vertex of p: both polytopes."""
     vertex = tuple(sorted(_vertex_at(p, vertex_index)))
 
     def modified(side: int) -> SimplePolytope:
         incidence = _Incidence(p)
-        incidence.cut(vertex)
-        incidence.cut(_fresh_face(vertex, p.facet_count, k, side))
+        incidence.modify(vertex, k, side)
         return incidence.polytope()
 
     return modified(0), modified(1)
@@ -594,13 +609,15 @@ def verify_complementary_equiv(p: SimplePolytope, vertex_index: int, k: int) -> 
 
     Cut the chosen vertex; on the new simplex facet take the face spanned by
     its first k+1 vertices and the complementary face spanned by the
-    remaining n-k-1, both read off the cut vertex by ``_fresh_face``.
+    remaining n-k-1, both read off the cut vertex by ``_Incidence.modify``.
     Truncating either must produce combinatorially isomorphic polytopes;
-    this runs both truncations and the isomorphism search.
+    this runs both truncations and the isomorphism search, and checks the
+    bijection it finds with ``carries_vertices``.
     """
     if not 0 <= k <= p.dim - 2:
         raise ValueError(f"k must satisfy 0 <= k <= n-2, got {k}")
-    return comb_iso(*_complementary_cuts(p, vertex_index, k)) is not None
+    first, last = _complementary_cuts(p, vertex_index, k)
+    return carries_vertices(comb_iso(first, last), first, last)
 
 
 def plan_vertex_count(n: int, counts: Iterable[int]) -> int:
@@ -620,9 +637,9 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
 
     The base is ``plan_base(n)``.  Each modification with parameter k cuts
     the polytope's first vertex (canonical order) and then the k-face of the
-    fresh simplex facet spanned by its first k+1 vertices (``_fresh_face``);
-    any deterministic choice policy yields the same Milnor-number
-    bookkeeping, so this fixed one is used for reproducibility.
+    fresh simplex facet spanned by its first k+1 vertices (side 0 of
+    ``_Incidence.modify``); any deterministic choice policy yields the same
+    Milnor-number bookkeeping, so this fixed one is used for reproducibility.
 
     The cuts are local edits of one ``_Incidence``: the first vertex comes
     from its heap, and each cut validates only what it changed.  One fully
@@ -649,9 +666,7 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     incidence = _Incidence(plan_base(n))
     for k, count in enumerate(plan.counts):
         for _ in range(count):
-            vertex, g = incidence.first_vertex(), incidence.facet_count
-            incidence.cut(vertex)
-            incidence.cut(_fresh_face(vertex, g, k, 0))
+            incidence.modify(incidence.first_vertex(), k, 0)
     return incidence.polytope()
 
 
@@ -694,10 +709,14 @@ def rigidity_demo(n: int) -> RigidityReport:
     Both arise from truncating complementary faces (a vertex and the
     opposite (n-2)-face) of the fresh facet after a vertex cut, so their
     polytopes are combinatorially equivalent with equal h-vectors, while the
-    Milnor-number changes s_kn(n, 0) and s_kn(n, n-2) differ.
+    Milnor-number changes s_kn(n, 0) and s_kn(n, n-2) differ.  Both have
+    3n-1 vertices, so n with (3n-1) * 2^n past the f-vector limit (n >= 20)
+    is refused before any cut; n = 19 took 21-23 s and 175 MiB peak RSS
+    (Python 3.11, shared 2-vCPU host).
     """
     if n < 3:
         raise ValueError("rigidity demo needs n >= 3")
+    _check_fvector_work(3 * n - 1, n)
     first, last = _complementary_cuts(simplex(n), 0, 0)
     return RigidityReport(
         n=n,

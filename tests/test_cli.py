@@ -438,6 +438,11 @@ PLAN_N4 = {"n": 4, "a": 1, "base_milnor": "5", "counts": [0, 0, 0], "predicted_m
         (["polytope", "apply-plan", "--plan"], dict(PLAN_N4, counts=[0.9, 0, 0])),
         (["polytope", "apply-plan", "--plan"], dict(PLAN_N4, a=True, base_milnor=5.0)),
         (["polytope", "apply-plan", "--plan"], dict(PLAN_N4, counts="123", predicted_milnor="-75")),
+        (["polytope", "apply-plan", "--plan"], {k: v for k, v in PLAN_N4.items() if k != "n"}),
+        (
+            ["polytope", "apply-plan", "--plan"],
+            {k: v for k, v in PLAN_N4.items() if k != "predicted_milnor"},
+        ),
     ],
 )
 def test_malformed_documents_exit_one(tmp_path, capsys, argv, document):
@@ -446,6 +451,9 @@ def test_malformed_documents_exit_one(tmp_path, capsys, argv, document):
     assert main(argv + [str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    missing = PLAN_N4.keys() - document.keys() if isinstance(document, dict) else ()
+    if len(missing) == 1:  # a plan document short of one field names it
+        assert err == f"error: plan document missing field {missing.pop()!r}\n"
 
 
 def test_polytope_rigidity(tmp_path):
@@ -461,6 +469,16 @@ def test_polytope_rigidity(tmp_path):
         "deltas_differ",
     ]
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("n", [20, 1000])
+def test_polytope_rigidity_refuses_past_work_limit(capsys, n):
+    # both polytopes would have 3n-1 vertices, past the f-vector limit for n >= 20
+    start = time.perf_counter()
+    assert main(["polytope", "rigidity", "--n", str(n)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: f-vector enumeration") and err.count("\n") == 1
 
 
 def test_polytope_rigidity_checks_bijection_outside_search(monkeypatch, capsys):

@@ -392,6 +392,32 @@ def test_complementary_equiv_other_vertices():
         assert verify_complementary_equiv(p, v, 1)
 
 
+def test_complementary_equiv_checks_bijection_outside_search(monkeypatch):
+    # the identity maps facets to facets but is no isomorphism of the two cuts
+    monkeypatch.setattr(polytope, "comb_iso", lambda p, q: tuple(range(p.facet_count)))
+    assert not verify_complementary_equiv(simplex(3), 0, 0)
+
+
+def test_modify_cuts_the_named_face_on_each_side():
+    # After the vertex cut, side 0 is the face of the first k+1 fresh vertices
+    # in canonical order and side 1 the face of the other n-k-1, both found
+    # here by scanning the cut polytope for the fresh facet g.
+    for n in range(3, 8):
+        for base in (plan_base(n), simplex(n)):
+            g = base.facet_count
+            for vid in (0, len(base.vertices) // 2, len(base.vertices) - 1):
+                q = cut_vertex(base, vid)
+                fresh = [v for v in q.vertices if g in v]
+                for k in range(n - 1):
+                    first = frozenset.intersection(*fresh[: k + 1])
+                    rest = frozenset.intersection(*fresh[k + 1 :])
+                    assert (len(first), len(rest)) == (n - k, k + 2)
+                    for side, expected in enumerate((first, rest)):
+                        incidence = polytope._Incidence(base)
+                        incidence.modify(tuple(sorted(base.vertices[vid])), k, side)
+                        assert incidence.polytope() == cut_face(q, expected), (n, vid, k, side)
+
+
 def test_non_complementary_faces_can_differ():
     # intersecting (non-complementary) faces of the fresh facet do not have
     # to give equivalent polytopes; this product-base instance breaks it
@@ -595,6 +621,17 @@ def test_rigidity_demo(n):
     assert (h_vector(rep.first), h_vector(rep.last)) == (rep.h_first, rep.h_last)
     mapped = {frozenset(rep.facet_bijection[f] for f in v) for v in rep.first.vertices}
     assert mapped == set(rep.last.vertices)
+
+
+def test_rigidity_demo_refuses_past_work_limit(monkeypatch):
+    # both polytopes have 3n-1 vertices, so the default limit allows n <= 19
+    limit = polytope._FVECTOR_WORK_LIMIT
+    assert (3 * 19 - 1) << 19 <= limit < (3 * 20 - 1) << 20
+    monkeypatch.setattr(polytope, "_FVECTOR_WORK_LIMIT", (3 * 5 - 1) << 5)
+    assert rigidity_demo(5).iso_found
+    monkeypatch.setattr(polytope, "_Incidence", None)  # refused before any cut
+    with pytest.raises(ValueError, match="past the limit"):
+        rigidity_demo(6)
 
 
 def test_rigidity_pinned_deltas():
