@@ -39,12 +39,9 @@ def binomial_mod_p(n: int, m: int, p: int) -> int:
     """C(n, m) mod p, computed digit-by-digit from base-p expansions.
 
     By Lucas' theorem the product of the digit-wise binomials
-    C(n_i, m_i) mod p equals C(n, m) mod p.
+    C(n_i, m_i) mod p equals C(n, m) mod p.  ``base_p_digits`` refuses a
+    negative n or m and a p that is not prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if n < 0 or m < 0:
-        raise ValueError("binomial_mod_p requires n, m >= 0")
     nd = base_p_digits(n, p)
     md = base_p_digits(m, p)
     result = 1

@@ -19,8 +19,12 @@ The environment variable COBFORGE_MAX_N caps the oracle sweep size of the
 ``reproduce`` command (default 100, at least 2).  ``milnor``'s oracle check
 makes at most three oracle calls of O(k^2 log n) products each, so n <= 400
 checks in under 5 s; ``milnor`` refuses n > 400 with exit 1.  ``plan``
-builds and verifies a plan for n <= 400 in under 1 s (n = 398 is tested)
-and refuses n > 400 the same way.
+builds and verifies a plan for n <= 400 in under 1 s (n = 398 is tested),
+and ``plan``, ``gcd-check`` and ``witness`` refuse n > 400 the same way,
+through one helper (``_checked_n``).  ``polytope apply-plan`` refuses
+plans past n = 100 or past 10,000 vertices (``polytope.check_plan_size``)
+before it verifies the plan.  The types in a plan document are checked
+once, by ``planner.ModificationPlan``.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ PLAN_DIMENSIONS = (14, 20)
 EQUIV_SIMPLEX_RANGE = range(3, 7)
 EQUIV_PRODUCT_RANGE = range(4, 7)
 
-# The largest n ``milnor`` and ``plan`` accept: their stated bounds (under 5 s
-# and under 1 s) cover n <= 400.
+# The largest n ``milnor``, ``plan``, ``gcd-check`` and ``witness`` accept:
+# their stated bounds (under 5 s for ``milnor``, under 1 s for the others)
+# cover n <= 400.
 _MILNOR_MAX_N = 400
 
 Result = tuple[dict, dict, dict[str, bool]]
@@ -62,6 +67,15 @@ def _sweep_top() -> int:
     if top < 2:
         raise ValueError(f"COBFORGE_MAX_N must be >= 2, got {top}")
     return top
+
+
+def _checked_n(args: argparse.Namespace) -> int:
+    """``args.n``; past ``_MILNOR_MAX_N``, ``ValueError`` naming the command."""
+    if args.n > _MILNOR_MAX_N:
+        raise ValueError(
+            f"n = {args.n} is past {args.command}'s checked range n <= {_MILNOR_MAX_N}"
+        )
+    return args.n
 
 
 def _load_polytope(path: str) -> polytope.SimplePolytope:
@@ -103,11 +117,10 @@ def _plan_from_document(doc: dict) -> planner.ModificationPlan:
     if not isinstance(doc, dict):
         raise ValueError("plan document must be a JSON object")
     n = _plan_field(doc, "n")
-    if type(n) is not int:
-        raise ValueError("plan document: n must be an integer")
     counts = _plan_field(doc, "counts")
-    if not isinstance(counts, list) or not all(type(c) is int for c in counts):
+    if not isinstance(counts, list):
         raise ValueError("plan document: counts must be a list of integers")
+    # ModificationPlan refuses an n or a count that is not an integer.
     return planner.ModificationPlan(
         n=n,
         a=_milnor_value(doc, "a"),
@@ -118,9 +131,7 @@ def _plan_from_document(doc: dict) -> planner.ModificationPlan:
 
 
 def cmd_milnor(args: argparse.Namespace) -> Result:
-    n, k = args.n, args.k
-    if n > _MILNOR_MAX_N:
-        raise ValueError(f"n = {n} is past milnor's checked range n <= {_MILNOR_MAX_N}")
+    n, k = _checked_n(args), args.k
     values = {"s_dkn": milnor.s_dkn, "s_kn": milnor.s_kn, "L": milnor.L_kn}
     value = values[args.table](n, k)
     print(f"{args.table}({n},{k}) = {value}")
@@ -145,13 +156,13 @@ def cmd_milnor(args: argparse.Namespace) -> Result:
 
 
 def cmd_gcd_check(args: argparse.Namespace) -> Result:
-    g, holds = milnor.coprimality_check(args.n)
+    g, holds = milnor.coprimality_check(_checked_n(args))
     print(f"gcd(s_kn({args.n}, 0..{args.n - 2})) = {g}")
     return {"n": args.n}, {"gcd": str(g), "holds": holds}, {"gcd_is_one": holds}
 
 
 def cmd_witness(args: argparse.Namespace) -> Result:
-    n, p = args.n, args.p
+    n, p = _checked_n(args), args.p
     k, residue = milnor.witness_k(n, p)
     value = milnor.L_kn(n, k)
     print(f"witness for (n={n}, p={p}): k = {k}, L({n},{k}) = {value}, residue {residue} mod {p}")
@@ -160,9 +171,7 @@ def cmd_witness(args: argparse.Namespace) -> Result:
 
 
 def cmd_plan(args: argparse.Namespace) -> Result:
-    if args.n > _MILNOR_MAX_N:
-        raise ValueError(f"n = {args.n} is past plan's checked range n <= {_MILNOR_MAX_N}")
-    plan = planner.construct_plan(args.n)
+    plan = planner.construct_plan(_checked_n(args))
     verdict = planner.milnor_novikov_check(plan.n, plan.predicted_milnor)
     doc = _plan_document(plan)
     print(json.dumps(doc, sort_keys=True))
@@ -234,6 +243,7 @@ def cmd_polytope_hvec(args: argparse.Namespace) -> Result:
 def cmd_polytope_apply_plan(args: argparse.Namespace) -> Result:
     with open(args.plan, encoding="utf-8") as fh:
         plan = _plan_from_document(json.load(fh))
+    polytope.check_plan_size(plan)
     verified = planner.verify_plan(plan)
     if not verified:
         return {"plan": args.plan}, {}, {"plan_verified": verified}

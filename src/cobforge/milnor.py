@@ -104,10 +104,9 @@ def coprimality_check(n: int) -> tuple[int, bool]:
     ``gcd_list`` consumes ``s_dkn_row`` lazily and stops at a gcd of 1, since
     the row entries grow like 2^n: n = 20000 stops after 114 of 19,999
     entries, where a list would build them all.  Odd n is rejected: the
-    construction this feeds only consumes even dimensions.
+    construction this feeds only consumes even dimensions; ``point_blowup_delta``
+    refuses n < 2.
     """
-    if n < 2:
-        raise ValueError("dimension n must be >= 2")
     if n % 2:
         raise ValueError("coprimality check applies to even n only")
     delta = point_blowup_delta(n)
@@ -119,31 +118,26 @@ def witness_k(n: int, p: int) -> tuple[int, int]:
     """A k in [2, n-2] with L_kn(n, k) not divisible by p, and that residue.
 
     Requires n even, p a prime divisor of n+1, and n+1 not a prime power.
-    Let j be the least index with digit n_j < p-1 in the base-p expansion of
-    n (it exists, else n+1 would be a power of p).  For k = p^j the digit
-    product rule gives C(n,k) = n_j mod p, which rules out the binomial
-    factor of L_kn vanishing; if 2^k = -1 mod p would kill the other factor,
-    k+1 works instead.  The residue is read off the even-n factorization
-    L_kn = -(2^k + 1) * (1 + (-1)^(k+1) * C(n,k)) with C(n,k) mod p taken by
-    the same digit rule (``binomial_mod_p``), so no big binomial is formed;
-    it is verified nonzero.
+    p < 2 and p not dividing n+1 are refused before the primality test, so a
+    huge p costs no trial division.  Let j be the least index with digit
+    n_j < p-1 in the base-p expansion of n (it exists because n+1 is not a
+    power of p).  For k = p^j the digit product rule gives C(n,k) = n_j mod
+    p, which rules out the binomial factor of L_kn vanishing; if 2^k = -1
+    mod p would kill the other factor, k+1 works instead.  The residue is
+    read off the even-n factorization L_kn = -(2^k + 1) * (1 + (-1)^(k+1) *
+    C(n,k)) with C(n,k) mod p taken by the same digit rule
+    (``binomial_mod_p``), so no big binomial is formed; it is verified
+    nonzero, so the CLI's ``L_not_divisible`` check cannot pass vacuously.
     """
     if n % 2:
         raise ValueError("witness search applies to even n only")
+    if p < 2 or (n + 1) % p:
+        raise ValueError(f"{p} is not a prime divisor of n+1 = {n + 1}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if (n + 1) % p:
-        raise ValueError(f"{p} does not divide n+1 = {n + 1}")
     if prime_power_check(n + 1) is not None:
         raise ValueError(f"n+1 = {n + 1} is a prime power; no witness exists")
-    digits = base_p_digits(n, p)
-    j = None
-    for i, d in enumerate(digits):
-        if d < p - 1:
-            j = i
-            break
-    if j is None:  # unreachable: all digits p-1 would make n+1 a power of p
-        raise ArithmeticError("no base-p digit below p-1")
+    j = next(i for i, d in enumerate(base_p_digits(n, p)) if d < p - 1)
     k = p**j
     if pow(2, k, p) == p - 1:
         k += 1

@@ -22,7 +22,8 @@ Buchstaber & Panov, *Toric Topology*, 2015) and validates only what it
 changed.  ``cut_face`` makes one cut and returns a fully validated
 ``SimplePolytope``; ``apply_plan`` makes all of a plan's cuts on one
 incidence and validates the whole polytope once at the end, so its time is
-linear in the final vertex count.  Plans past 10,000 vertices are refused.
+linear in the final vertex count.  Plans past 10,000 vertices or past
+n = 100 are refused before any work (``check_plan_size``).
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ _FVECTOR_WORK_LIMIT = 2**25
 
 # apply_plan's cuts are local edits, so its time grows linearly in the final
 # vertex count (times about n^2 for the ridges); plans that would build more
-# vertices than this are refused (see apply_plan for the measured cost).
+# vertices than this, or past dimension _APPLY_PLAN_MAX_N, are refused (see
+# apply_plan for the measured cost).  n <= 100 covers every shipped plan.
 _APPLY_PLAN_VERTEX_LIMIT = 10_000
+_APPLY_PLAN_MAX_N = 100
 
 
 def _ridges(vt: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -87,7 +90,7 @@ class SimplePolytope:
             used.update(vt)
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate vertex")
-        if used != set(range(self.facet_count)):
+        if len(used) != self.facet_count:
             raise ValueError("facet without any vertex")
         ridges = Counter(itertools.chain.from_iterable(map(_ridges, ordered)))
         bad = [r for r, c in ridges.items() if c != 2]
@@ -632,6 +635,31 @@ def plan_vertex_count(n: int, counts: Iterable[int]) -> int:
     )
 
 
+def check_plan_size(plan: "ModificationPlan") -> None:
+    """Refuse a plan ``apply_plan`` would not play within its stated bound.
+
+    Refused, with ``ValueError``: n > 100, counts not covering k = 0..n-2,
+    and plans whose closed-form vertex count (``plan_vertex_count``) exceeds
+    10,000.  The work is O(n), so callers run it before any costly step:
+    ``apply_plan`` before its first cut, ``polytope apply-plan`` before
+    ``planner.verify_plan``, whose walk of the s_dkn row alone took 1.5 s at
+    n = 20,000.  Without the n bound a zero-count n = 2,000 plan passes the
+    vertex limit (7,996 vertices), and its ridges alone are V * n = 1.6e7
+    tuples of n-1 facets.
+    """
+    n = plan.n
+    if n > _APPLY_PLAN_MAX_N:
+        raise ValueError(f"n = {n} is past the apply-plan range n <= {_APPLY_PLAN_MAX_N}")
+    if len(plan.counts) != n - 1:
+        raise ValueError("plan dimension mismatch: counts must cover k = 0..n-2")
+    vertices = plan_vertex_count(n, plan.counts)
+    if vertices > _APPLY_PLAN_VERTEX_LIMIT:
+        raise ValueError(
+            f"plan would build {vertices} vertices, past the apply-plan limit of "
+            f"{_APPLY_PLAN_VERTEX_LIMIT}"
+        )
+
+
 def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     """Play a modification plan on the moment polytope of its base.
 
@@ -645,25 +673,15 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     from its heap, and each cut validates only what it changed.  One fully
     validated ``SimplePolytope`` is built at the end.  The work is linear in
     the final vertex count V, with a factor of about n^2 for the ridges
-    (tuples of n-1 facets, n per vertex).  Plans whose closed-form count
-    (``plan_vertex_count``) exceeds 10,000 raise ``ValueError`` before any
-    cut.  At the limit an n = 3 plan (2,498 modifications) took 0.3 s and
-    28 MiB peak RSS, and an n = 32 plan (159 modifications with k = n-2)
-    took 2.7 s and 172 MiB; larger n costs more per vertex: 10 s at n = 64
-    and 25 s and 1.06 GiB at n = 100 (Python 3.11, shared 2-vCPU host).
+    (tuples of n-1 facets, n per vertex).  ``check_plan_size`` refuses
+    plans past n = 100 or past 10,000 vertices before any cut.  At the
+    vertex limit an n = 3 plan (2,498 modifications) took 0.3 s and 28 MiB
+    peak RSS, and an n = 32 plan (159 modifications with k = n-2) took 2.7 s
+    and 172 MiB; larger n costs more per vertex: 10 s at n = 64 and 25 s and
+    1.06 GiB at n = 100, the worst case (Python 3.11, shared 2-vCPU host).
     """
-    n = plan.n
-    if n < 3:
-        raise ValueError("plan application needs dimension >= 3")
-    if len(plan.counts) != n - 1:
-        raise ValueError("plan dimension mismatch: counts must cover k = 0..n-2")
-    vertices = plan_vertex_count(n, plan.counts)
-    if vertices > _APPLY_PLAN_VERTEX_LIMIT:
-        raise ValueError(
-            f"plan would build {vertices} vertices, past the apply-plan limit of "
-            f"{_APPLY_PLAN_VERTEX_LIMIT}"
-        )
-    incidence = _Incidence(plan_base(n))
+    check_plan_size(plan)
+    incidence = _Incidence(plan_base(plan.n))
     for k, count in enumerate(plan.counts):
         for _ in range(count):
             incidence.modify(incidence.first_vertex(), k, 0)

@@ -69,6 +69,13 @@ def test_binomial_mod_p_rejects_composite_modulus():
         binomial_mod_p(10, 3, 1)
 
 
+def test_binomial_mod_p_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        binomial_mod_p(-1, 0, 5)
+    with pytest.raises(ValueError):
+        binomial_mod_p(10, -3, 5)
+
+
 def test_binomial_mod_p_matches_direct_reduction():
     # oracle equivalence against the Pascal table, full grid
     for p in TEST_PRIMES:

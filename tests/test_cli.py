@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -131,6 +132,24 @@ def test_plan_refuses_n_past_stated_bound(capsys):
     assert "n <= 400" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gcd-check", "--n", "59048"],  # n+1 = 3^10: 9-11 s to walk the row unbounded
+        ["gcd-check", "--n", str(10**18)],
+        ["witness", "--n", "402", "--p", "13"],  # 403 = 13 * 31; only the bound refuses it
+        ["witness", "--n", "14", "--p", str(10**18 + 3)],  # a prime not dividing 15
+    ],
+)
+def test_gcd_check_and_witness_refuse_fast(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_plan_n50(capsys):
     # the base twist is a = 242,841,156,445,048, so base_milnor (~1.2e16) is
     # past the exact range of 64-bit floats
@@ -260,6 +279,19 @@ def test_polytope_hvec_refuses_past_work_limit(tmp_path, capsys):
     assert err.startswith("error: f-vector enumeration") and err.count("\n") == 1
 
 
+def test_polytope_hvec_refuses_unused_facets_fast(tmp_path, capsys):
+    # the 3-simplex's 4 vertices claiming 10^9 facets: counting the facets in
+    # use builds no set of every claimed index
+    doc = polytope.to_dict(polytope.simplex(3))
+    doc["facets"] = 10**9
+    infile = tmp_path / "facets.json"
+    infile.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["polytope", "hvec", "--infile", str(infile)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: facet without any vertex\n"
+
+
 def test_polytope_apply_plan(tmp_path):
     plan_file = tmp_path / "plan.json"
     out = tmp_path / "poly.json"
@@ -367,6 +399,22 @@ def test_polytope_apply_plan_refuses_oversized_plans(tmp_path, capsys, n):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: plan would build") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [2000, 60000])
+def test_polytope_apply_plan_refuses_past_n_100_before_verifying(tmp_path, capsys, n):
+    # zero counts: n = 2000 builds only 7,996 vertices, under the vertex limit,
+    # and verify_plan's walk of the s_dkn row alone takes seconds at n = 60000
+    milnor = str(n + 1)
+    doc = dict(PLAN_N4, n=n, base_milnor=milnor, counts=[0] * (n - 1), predicted_milnor=milnor)
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n = {n} is past the apply-plan range n <= 100\n"
+    assert captured.out == ""
 
 
 @pytest.fixture
@@ -569,3 +617,13 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["milnor"])  # missing required arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n, code", [("14", 0), ("4", 1)])
+def test_console_script_exit_codes(monkeypatch, capsys, n, code):
+    # the ``cobforge`` command of pyproject.toml; gcd 5 at n = 4 fails its check
+    monkeypatch.setattr(sys, "argv", ["cobforge", "gcd-check", "--n", n])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code
+    assert capsys.readouterr().out.endswith(f"gcd-check: {1 - code}/1 checks passed\n")

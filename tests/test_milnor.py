@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cobforge import milnor
@@ -204,3 +206,14 @@ def test_witness_errors():
     with pytest.raises(ValueError):
         witness_k(14, 15)  # not prime
 
+
+def test_witness_refuses_before_primality_test():
+    # p < 2 is a ValueError before n+1 mod p is taken (p = 0 would divide by
+    # zero); a huge p is tested for dividing n+1 before any trial division
+    for p in (0, 1, -3):
+        with pytest.raises(ValueError):
+            witness_k(14, p)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a prime divisor"):
+        witness_k(14, 10**18 + 3)
+    assert time.perf_counter() - start < 1.0

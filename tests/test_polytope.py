@@ -599,6 +599,13 @@ def test_apply_plan_vertex_limit(monkeypatch):
         apply_plan(toy_plan(3, (2499, 0)))
 
 
+def test_apply_plan_refuses_past_n_100_before_any_cut(monkeypatch):
+    # zero counts: the base alone, 4(n-1) vertices, is under the vertex limit
+    monkeypatch.setattr(polytope, "plan_base", lambda n: pytest.fail("built the base"))
+    with pytest.raises(ValueError, match="past the apply-plan range n <= 100"):
+        apply_plan(toy_plan(101, [0] * 100))
+
+
 def test_apply_plan_dimension_mismatch():
     plan = toy_plan(4, (0, 0, 0))
     object.__setattr__(plan, "n", 5)  # corrupt the record deliberately
