@@ -142,17 +142,42 @@ class TruncatedPoly:
         return cls(bounds, {exps: 1})
 
     @classmethod
-    def linear_form(cls, bounds: Iterable[int], degrees: Iterable[int]) -> "TruncatedPoly":
-        """Sum of degrees[i] * x_i."""
-        bounds = tuple(bounds)
-        degrees = tuple(degrees)
+    def linear_power(
+        cls, bounds: Iterable[int], degrees: Iterable[int], exponent: int
+    ) -> "TruncatedPoly":
+        """(1 + sum(degrees[i] * x_i)) ** exponent, by the multinomial theorem.
+
+        The coefficient of x^e is C(N, |e|) * |e|!/prod(e_i!) * prod(d_i^(e_i))
+        for N = exponent, which is 0 once |e| > N.  Along the last variable
+        each entry comes from the one before it, c(e) = c(e - u_r) * (N - |e|
+        + 1) * d_r / e_r, an exact division; the first entry of each row comes
+        the same way from e - u_j, j the last variable with e_j > 0, which
+        row-major order visits earlier.  That is O(L * r) big-integer steps for
+        L coefficients and r variables, where squaring takes O(log N) products
+        of O(L^2) each.
+        """
+        power = cls.one(bounds)
+        bounds, dense = power.bounds, power.dense
+        degrees = tuple(int(d) for d in degrees)
         if len(degrees) != len(bounds):
             raise ValueError("degree tuple does not match variable count")
-        terms = {}
-        for i, d in enumerate(degrees):
-            if d:
-                terms[tuple(1 if j == i else 0 for j in range(len(bounds)))] = d
-        return cls(bounds, terms)
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        if not bounds:
+            return power
+        width = bounds[-1] + 1
+        strides = [math.prod(m + 1 for m in bounds[j + 1 :]) for j in range(len(bounds))]
+        for row, prefix in enumerate(_box(bounds[:-1])):
+            i, s = row * width, sum(prefix)
+            j = next((j for j in reversed(range(len(prefix))) if prefix[j]), None)
+            c = 1 if j is None else (
+                dense[i - strides[j]] * (exponent - s + 1) * degrees[j] // prefix[j]
+            )
+            dense[i] = c
+            for t in range(1, width):
+                c = c * (exponent - s - t + 1) * degrees[-1] // t
+                dense[i + t] = c
+        return power
 
     @property
     def coeffs(self) -> dict[Monomial, int]:
@@ -347,7 +372,7 @@ def total_chern(spec: ProjBundleSpec) -> TruncatedPoly:
     bounds = spec.base_dims
     c = TruncatedPoly.one(bounds)
     for degrees, mult in Counter(spec.summands).items():
-        c = c * (1 + TruncatedPoly.linear_form(bounds, degrees)) ** mult
+        c = c * TruncatedPoly.linear_power(bounds, degrees, mult)
     return c
 
 
@@ -356,18 +381,29 @@ def integrate_top(omega: TruncatedPoly) -> int:
     return omega.dense[-1]
 
 
+def _top_of_product(a: TruncatedPoly, b: TruncatedPoly) -> int:
+    """``integrate_top(a * b)`` without forming the product.
+
+    The top coefficient of a * b is sum_f a_f * b_(m-f) over the box, and the
+    row-major index of m - f is L - 1 minus that of f, so it is one dot
+    product of a's list with b's list reversed: O(L), not O(L^2).
+    """
+    return sum(map(mul, a.dense, reversed(b.dense)))
+
+
 def fiber_integral(omega: TruncatedPoly, spec: ProjBundleSpec) -> int:
     """Pair sum_d omega_d * v^(N-d) against the fundamental class of P(E).
 
     N is the total dimension, B the base dimension and omega_d the degree-d
     part of omega.  Pushing v^(N-d) forward to the base gives the
     degree-(B-d) part of the total Segre class, so the pairing is the top
-    coefficient of omega times the inverse total Chern class.  This holds
-    for every omega: parts of degree above B vanish on the base.
+    coefficient of omega times the inverse total Chern class, read off as
+    one dot product.  This holds for every omega: parts of degree above B
+    vanish on the base.
     """
     if omega.bounds != spec.base_dims:
         raise ValueError("omega must live on the base ring of the bundle")
-    return integrate_top(omega * poly_inverse(total_chern(spec)))
+    return _top_of_product(omega, poly_inverse(total_chern(spec)))
 
 
 def milnor_projectivisation(spec: ProjBundleSpec) -> int:
@@ -393,5 +429,5 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
     bounds = spec.base_dims
     pairing = TruncatedPoly.constant(bounds, (-1) ** n if spec.conjugated_trivial else 0)
     for degrees, mult in Counter(spec.summands).items():
-        pairing = pairing + mult * (1 + TruncatedPoly.linear_form(bounds, degrees)) ** n
+        pairing = pairing + mult * TruncatedPoly.linear_power(bounds, degrees, n)
     return fiber_integral(pairing, spec)
