@@ -54,10 +54,10 @@ def test_l_tables():
     assert time.perf_counter() - start < 1.0
 
 
-@criterion(2, "closed form vs fiber-integration oracle, n = 2..64")
+@criterion(2, "closed form vs fiber-integration oracle, n = 2..100")
 def test_closed_form_oracle_sweep():
     start = time.perf_counter()
-    for n in range(2, 65):
+    for n in range(2, 101):
         for k in range(n - 1):
             assert s_dkn(n, k) == milnor_projectivisation(dkn_spec(n, k)), (n, k)
     assert time.perf_counter() - start < 30.0

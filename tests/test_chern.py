@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cobforge.chern import (
     ProjBundleSpec,
     TruncatedPoly,
+    _top_of_product,
     adjustable_base_spec,
     dkn_spec,
     fiber_integral,
@@ -93,10 +94,12 @@ def test_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * TruncatedPoly.one(bounds) == a
+        # the oracle's pairing: the top coefficient without the product
+        assert _top_of_product(a, b) == integrate_top(a * b)
 
 
 # Test-only references: the plain loops that squaring and the one-pass
-# inverse replace.
+# inverse replace.  Squaring in turn is the reference for linear_power.
 
 
 def power_by_repeated_products(p, e):
@@ -128,6 +131,22 @@ def test_power_matches_repeated_products():
             # exponents past the nilpotency degree too (the total degree cap is <= 4)
             for e in range(13):
                 assert p**e == power_by_repeated_products(p, e), (bounds, p, e)
+    # (1 + sum d_i x_i)^N by the multinomial theorem, with zero and negative
+    # degrees, over a point and boxes of 1-3 variables
+    for bounds in POWER_BOUNDS + [(), (0,), (5,), (2, 0, 3)]:
+        draws = [tuple(rng.randint(-3, 3) for _ in bounds) for _ in range(8)]
+        for degrees in [(0,) * len(bounds), (-1,) * len(bounds)] + draws:
+            linear = sum(
+                (d * TruncatedPoly.variable(bounds, i) for i, d in enumerate(degrees)),
+                TruncatedPoly.one(bounds),
+            )
+            for e in range(sum(bounds) + 3):
+                got = TruncatedPoly.linear_power(bounds, degrees, e)
+                assert got == linear**e, (bounds, degrees, e)
+    with pytest.raises(ValueError):
+        TruncatedPoly.linear_power((2, 1), (1,), 3)
+    with pytest.raises(ValueError):
+        TruncatedPoly.linear_power((2,), (1,), -1)
 
 
 def test_inverse_matches_geometric_series():
