@@ -10,8 +10,9 @@ universal constant depending on (n, k) only.  This module provides:
   CP^k, the correction terms of the second blow-up stage, yielded lazily by
   a recurrence at O(1) big-integer steps per entry;
 * ``s_dkn(n, k)``: entry k of that row;
-* ``s_kn(n, k)``: the total change of s_n under the two-stage modification,
-  equal to -s_dkn(n, k) - (n + (-1)^n);
+* ``s_kn_row(n)``: the total changes s_kn(n, k) = -(n + (-1)^n) - s_dkn(n, k)
+  of s_n under the two-stage modification, lazily, k = 0..n-2;
+* ``s_kn(n, k)``: entry k of that row;
 * ``L_kn(n, k)``: the combination -s_kn(n,k) + 3*s_kn(n,k-1) - 2*s_kn(n,k-2),
   which collapses to a compact closed form and is the handle for
   divisibility arguments;
@@ -78,13 +79,20 @@ def point_blowup_delta(n: int) -> int:
     return -(n + (1 if n % 2 == 0 else -1))
 
 
-def s_kn(n: int, k: int) -> int:
-    """Change of s_n under the two-stage modification with parameters (n, k).
+def s_kn_row(n: int) -> Iterator[int]:
+    """Yield s_kn(n, k) for k = 0, 1, ..., n-2, as lazily as ``s_dkn_row(n)``.
 
     The point blow-up contributes -(n + (-1)^n) and the second stage
     contributes -s_dkn(n, k).
     """
-    return -s_dkn(n, k) + point_blowup_delta(n)
+    delta = point_blowup_delta(n)
+    return (delta - s for s in s_dkn_row(n))
+
+
+def s_kn(n: int, k: int) -> int:
+    """Change of s_n under the two-stage modification (n, k): entry k of ``s_kn_row(n)``."""
+    _check_range(n, k)
+    return next(itertools.islice(s_kn_row(n), k, None))
 
 
 def L_kn(n: int, k: int) -> int:
@@ -101,16 +109,15 @@ def L_kn(n: int, k: int) -> int:
 def coprimality_check(n: int) -> tuple[int, bool]:
     """Gcd of {s_kn(n, k) : 0 <= k <= n-2} for even n, and whether it is 1.
 
-    ``gcd_list`` consumes ``s_dkn_row`` lazily and stops at a gcd of 1, since
+    ``gcd_list`` consumes ``s_kn_row`` lazily and stops at a gcd of 1, since
     the row entries grow like 2^n: n = 20000 stops after 114 of 19,999
     entries, where a list would build them all.  Odd n is rejected: the
-    construction this feeds only consumes even dimensions; ``point_blowup_delta``
+    construction this feeds only consumes even dimensions; ``s_kn_row``
     refuses n < 2.
     """
     if n % 2:
         raise ValueError("coprimality check applies to even n only")
-    delta = point_blowup_delta(n)
-    g = gcd_list(-s + delta for s in s_dkn_row(n))
+    g = gcd_list(s_kn_row(n))
     return g, g == 1
 
 

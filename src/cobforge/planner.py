@@ -102,8 +102,7 @@ def construct_plan(n: int) -> ModificationPlan:
     if prime_power_check(n + 1) is not None:
         raise ValueError(f"n+1 = {n + 1} is a prime power")
 
-    delta = milnor.point_blowup_delta(n)
-    row = [s - delta for s in milnor.s_dkn_row(n)]
+    row = [-s for s in milnor.s_kn_row(n)]
     ks = [k for k, b in enumerate(row) if b > 0]
     rep = frobenius.represent(-1, [row[k] for k in ks] + [-(n + 1)])
     *used, a = rep.coefficients
@@ -127,9 +126,9 @@ def verify_plan(plan: ModificationPlan) -> bool:
     """Recompute the predicted Milnor number along an independent route.
 
     Each modification's change is reassembled here as -s_dkn(n, k) minus
-    the point blow-up term, written out here rather than taken from s_kn or
-    ``milnor.point_blowup_delta`` as ``construct_plan`` does, so a slip in
-    either path's sign or point term shows up as a mismatch.  Both paths read
+    the point blow-up term, written out here rather than taken from
+    ``milnor.s_kn_row`` as ``construct_plan`` does, so a slip in either
+    path's sign or point term shows up as a mismatch.  Both paths read
     the same ``milnor.s_dkn_row``; the row itself is checked against the
     fiber-integration oracle and the term-by-term binomial sum in the tests.
     The claimed base Milnor number is checked against the fiber-integration

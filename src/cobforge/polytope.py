@@ -219,12 +219,11 @@ class _Incidence:
     """Mutable vertex-facet incidence of a simple polytope, for cut sequences.
 
     It holds the vertex set (sorted facet tuples), a facet -> vertices
-    index, a min-heap of the vertex tuples with lazy deletion (so the first
-    vertex in canonical order is found without sorting), and the number of
-    vertices on each ridge.  ``cut`` is the only truncation code in this
-    module: it edits the vertices of the cut face and the ridges they touch,
-    and validates exactly that, so a sequence of cuts costs time in the
-    number of vertices it changes rather than in the size of the polytope.
+    index, and the number of vertices on each ridge.  ``cut`` is the only
+    truncation code in this module: it edits the vertices of the cut face
+    and the ridges they touch, and validates exactly that, so a sequence of
+    cuts costs time in the number of vertices it changes rather than in the
+    size of the polytope.
     """
 
     def __init__(self, p: SimplePolytope):
@@ -233,9 +232,7 @@ class _Incidence:
         self.vertices: set[tuple[int, ...]] = set()
         self.by_facet: list[set[tuple[int, ...]]] = [set() for _ in range(p.facet_count)]
         self.ridges: Counter = Counter()
-        self.heap = [tuple(sorted(v)) for v in p.vertices]
-        heapq.heapify(self.heap)
-        self._add(self.heap)
+        self._add(tuple(sorted(v)) for v in p.vertices)
 
     def _add(self, vertices: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Insert vertices; returns the ridges they lie on."""
@@ -259,23 +256,16 @@ class _Incidence:
         self.ridges.subtract(touched)
         return touched
 
-    def first_vertex(self) -> tuple[int, ...]:
-        """The vertex first in canonical (sorted-tuple) order."""
-        heap = self.heap
-        while heap[0] not in self.vertices:
-            heapq.heappop(heap)
-        return heap[0]
-
-    def cut(self, defining_facets: Iterable[int]) -> None:
+    def cut(self, defining_facets: Iterable[int]) -> list[tuple[int, ...]]:
         """Truncate the face cut out by ``defining_facets``; see ``cut_face``.
 
-        The new facet gets index ``facet_count``.  New vertices are simple
-        and in range by construction; the cut checks what else the full
-        validator of ``SimplePolytope`` would: the new vertices are distinct
-        from each other and from every remaining vertex, every ridge the
-        cut touched lies in 0 or 2 vertices, and no facet it touched is
-        left without a vertex.  A cut that raises leaves the incidence
-        unusable.
+        The new facet gets index ``facet_count``, and the cut returns the
+        vertices it added.  New vertices are simple and in range by
+        construction; the cut checks what else the full validator of
+        ``SimplePolytope`` would: the new vertices are distinct from each
+        other and from every remaining vertex, every ridge the cut touched
+        lies in 0 or 2 vertices, and no facet it touched is left without a
+        vertex.  A cut that raises leaves the incidence unusable.
         """
         if self.dim < 2:
             raise ValueError("face truncation needs dimension >= 2")
@@ -293,8 +283,6 @@ class _Incidence:
         if len(set(added)) != len(added) or not self.vertices.isdisjoint(added):
             raise ValueError("duplicate vertex")
         touched += self._add(added)
-        for w in added:
-            heapq.heappush(self.heap, w)
         if not all(self.by_facet[f] for f in set().union(*on_face, [g])):
             raise ValueError("facet without any vertex")
         ridges = self.ridges
@@ -304,8 +292,9 @@ class _Incidence:
                 del ridges[ridge]
             elif count != 2:
                 raise ValueError(f"ridge contained in {count} vertices, expected 2")
+        return added
 
-    def modify(self, vertex: tuple[int, ...], k: int, side: int) -> None:
+    def modify(self, vertex: tuple[int, ...], k: int, side: int) -> list[tuple[int, ...]]:
         """One B_k step: cut ``vertex``, then the k-face (side 0) or its complement (side 1).
 
         Both faces lie on the vertex cut's facet g.  In canonical order the
@@ -313,12 +302,12 @@ class _Incidence:
         precedes the one that drops f_(i-1): where they first differ it has
         f_(i-1), the other f_i.  So the k-face spanned by the first k+1 drops
         f_n, ..., f_(n-k) and is vertex[:n-k-1] + (g,), and the face of the
-        other n-k-1 is vertex[n-k-1:] + (g,).
+        other n-k-1 is vertex[n-k-1:] + (g,).  Returns what both cuts added.
         """
         g = self.facet_count
-        self.cut(vertex)
+        added = self.cut(vertex)
         split = len(vertex) - k - 1
-        self.cut((vertex[:split] if side == 0 else vertex[split:]) + (g,))
+        return added + self.cut((vertex[:split] if side == 0 else vertex[split:]) + (g,))
 
     def polytope(self) -> SimplePolytope:
         return SimplePolytope(self.dim, self.facet_count, self.vertices)
@@ -341,10 +330,9 @@ def f_vector(p: SimplePolytope) -> tuple[int, ...]:
     so enumeration walks the V * 2^n subsets of the V vertices; past 2^25 it
     raises ``ValueError`` first.  Each codimension is counted from its own
     set, so only one codimension's faces are held at a time.  At n = 14
-    ``polytope hvec`` took 6.9-7.8 s and 160 MiB peak RSS on an
-    ``apply_plan`` polytope with 1,872 vertices (30.7M subsets; 9.8-10.9 s
-    and 343 MiB with a set per codimension at once), and 0.7 s and 29 MiB
-    on the shipped plan's 188 vertices (Python 3.11, shared 2-vCPU host).
+    ``polytope hvec`` took 6.9-7.8 s and 160 MiB peak RSS on an ``apply_plan``
+    polytope with 1,872 vertices (30.7M subsets), and 0.7 s and 29 MiB on
+    the shipped plan's 188 vertices (Python 3.11, shared 2-vCPU host).
     """
     _check_fvector_work(len(p.vertices), p.dim)
     verts = [sorted(v) for v in p.vertices]
@@ -669,22 +657,28 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     ``_Incidence.modify``); any deterministic choice policy yields the same
     Milnor-number bookkeeping, so this fixed one is used for reproducibility.
 
-    The cuts are local edits of one ``_Incidence``: the first vertex comes
-    from its heap, and each cut validates only what it changed.  One fully
-    validated ``SimplePolytope`` is built at the end.  The work is linear in
-    the final vertex count V, with a factor of about n^2 for the ridges
-    (tuples of n-1 facets, n per vertex).  ``check_plan_size`` refuses
-    plans past n = 100 or past 10,000 vertices before any cut.  At the
-    vertex limit an n = 3 plan (2,498 modifications) took 0.3 s and 28 MiB
-    peak RSS, and an n = 32 plan (159 modifications with k = n-2) took 2.7 s
-    and 172 MiB; larger n costs more per vertex: 10 s at n = 64 and 25 s and
-    1.06 GiB at n = 100, the worst case (Python 3.11, shared 2-vCPU host).
+    The first vertex comes from a min-heap with lazy deletion: each step
+    pushes the vertices its cuts added and pops those already cut away.  The
+    cuts are local edits of one ``_Incidence``, each validating only what it
+    changed; one ``SimplePolytope`` is validated at the end.  The work is
+    linear in the final vertex count V, with a factor of about n^2 for the
+    ridges (tuples of n-1 facets, n per vertex).  ``check_plan_size``
+    refuses plans past n = 100 or past 10,000 vertices before any cut.  At
+    the vertex limit an n = 3 plan (2,498 modifications) took 0.3 s and
+    28 MiB peak RSS, and an n = 32 plan (159 modifications with k = n-2)
+    took 2.7 s and 172 MiB; larger n costs more per vertex: 10 s at n = 64
+    and 25 s and 1.06 GiB at n = 100, the worst case (Python 3.11, shared
+    2-vCPU host).
     """
     check_plan_size(plan)
     incidence = _Incidence(plan_base(plan.n))
+    heap = sorted(incidence.vertices)  # a sorted list is a min-heap
     for k, count in enumerate(plan.counts):
         for _ in range(count):
-            incidence.modify(incidence.first_vertex(), k, 0)
+            while heap[0] not in incidence.vertices:
+                heapq.heappop(heap)
+            for w in incidence.modify(heap[0], k, 0):
+                heapq.heappush(heap, w)
     return incidence.polytope()
 
 

@@ -376,6 +376,19 @@ def test_shipped_plan_plays(tmp_path, n, vertices):
     assert out["outputs"]["vertex_count"] == vertices
 
 
+def test_readme_plan_flow(tmp_path, capsys):
+    # the README's `cobforge plan --n 14 | sed -n 1p > plan.json`, then apply-plan
+    assert main(["plan", "--n", "14"]) == 0
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(capsys.readouterr().out.splitlines()[0] + "\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file), "--json", str(report)]) == 0
+    assert read_json(report)["checks"] == [
+        {"name": "plan_verified", "passed": True},
+        {"name": "vertex_count_closed_form", "passed": True},
+    ]
+
+
 @pytest.mark.parametrize("a", [str(10**30), 10**30])
 def test_polytope_apply_plan_reads_large_twist(tmp_path, a):
     # a past the exact range of 64-bit floats, as a decimal string or an integer

@@ -12,6 +12,7 @@ from cobforge.milnor import (
     s_dkn,
     s_dkn_row,
     s_kn,
+    s_kn_row,
     witness_k,
 )
 
@@ -76,6 +77,7 @@ def test_s_dkn_row_matches_expanded_form_to_n100():
         assert len(row) == n - 1
         for k in {0, 1, 2, n // 2, n - 3, n - 2} & set(range(n - 1)):
             assert -row[k] + point_blowup_delta(n) == s_kn_expanded(n, k), (n, k)
+        assert list(s_kn_row(n)) == [s_kn_expanded(n, k) for k in range(n - 1)], n
 
 
 @pytest.mark.parametrize("n", [63, 64, 100])

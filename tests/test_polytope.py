@@ -414,8 +414,18 @@ def test_modify_cuts_the_named_face_on_each_side():
                     assert (len(first), len(rest)) == (n - k, k + 2)
                     for side, expected in enumerate((first, rest)):
                         incidence = polytope._Incidence(base)
-                        incidence.modify(tuple(sorted(base.vertices[vid])), k, side)
+                        vertex = tuple(sorted(base.vertices[vid]))
+                        added = incidence.modify(vertex, k, side)
                         assert incidence.polytope() == cut_face(q, expected), (n, vid, k, side)
+                        # what modify returns is what its two cuts return
+                        replay = polytope._Incidence(base)
+                        before = set(replay.vertices)
+                        first_cut = replay.cut(vertex)
+                        assert set(first_cut) == replay.vertices - before
+                        before = set(replay.vertices)
+                        second_cut = replay.cut(tuple(expected))
+                        assert set(second_cut) == replay.vertices - before
+                        assert added == first_cut + second_cut, (n, vid, k, side)
 
 
 def test_non_complementary_faces_can_differ():
