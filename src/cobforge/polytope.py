@@ -18,12 +18,12 @@ but different Milnor-number changes, checked by ``carries_vertices``.
 
 All truncation goes through one private mutable incidence, ``_Incidence``,
 whose ``cut`` edits only the vertices of the cut face (the cut formula of
-Buchstaber & Panov, *Toric Topology*, 2015) and validates only what it
-changed.  ``cut_face`` makes one cut and returns a fully validated
-``SimplePolytope``; ``apply_plan`` makes all of a plan's cuts on one
-incidence and validates the whole polytope once at the end, so its time is
-linear in the final vertex count.  Plans past 10,000 vertices or past
-n = 100 are refused before any work (``check_plan_size``).
+Buchstaber & Panov, *Toric Topology*, 2015).  ``cut_face`` makes one cut and
+``apply_plan`` all of a plan's cuts on one incidence; either way the result
+is one ``SimplePolytope``, whose validator is the one full check of the
+cuts, so ``apply_plan``'s time is linear in the final vertex count.  Plans
+past 10,000 vertices or past n = 100 are refused before any work
+(``check_plan_size``).
 """
 
 from __future__ import annotations
@@ -45,16 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover
 _FVECTOR_WORK_LIMIT = 2**25
 
 # apply_plan's cuts are local edits, so its time grows linearly in the final
-# vertex count (times about n^2 for the ridges); plans that would build more
-# vertices than this, or past dimension _APPLY_PLAN_MAX_N, are refused (see
-# apply_plan for the measured cost).  n <= 100 covers every shipped plan.
+# vertex count (times about n^2 for the one validation of the result's
+# ridges); plans that would build more vertices than this, or past dimension
+# _APPLY_PLAN_MAX_N, are refused (see apply_plan for the measured cost).
+# n <= 100 covers every shipped plan.
 _APPLY_PLAN_VERTEX_LIMIT = 10_000
 _APPLY_PLAN_MAX_N = 100
-
-
-def _ridges(vt: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The ridges through a vertex given as a sorted facet tuple: drop one facet each."""
-    return itertools.combinations(vt, len(vt) - 1)
 
 
 class SimplePolytope:
@@ -92,7 +88,9 @@ class SimplePolytope:
             raise ValueError("duplicate vertex")
         if len(used) != self.facet_count:
             raise ValueError("facet without any vertex")
-        ridges = Counter(itertools.chain.from_iterable(map(_ridges, ordered)))
+        # the ridges through a vertex: drop one of its dim facets each
+        per_vertex = map(itertools.combinations, ordered, itertools.repeat(self.dim - 1))
+        ridges = Counter(itertools.chain.from_iterable(per_vertex))
         bad = [r for r, c in ridges.items() if c != 2]
         if bad:
             raise ValueError(f"ridge contained in {ridges[bad[0]]} vertices, expected 2")
@@ -197,7 +195,8 @@ def cut_face(p: SimplePolytope, defining_facets: Iterable[int]) -> SimplePolytop
     others, is replaced by c new vertices: the j-th keeps the n-c others,
     picks up the new facet, and drops the j-th defining facet.  With c = n
     this is exactly a vertex truncation.  The new facet is combinatorially
-    the product of the face with a (c-1)-simplex.
+    the product of the face with a (c-1)-simplex.  The result is validated
+    in full as a ``SimplePolytope``.
     """
     incidence = _Incidence(p)
     incidence.cut(defining_facets)
@@ -218,12 +217,12 @@ def _replacements(
 class _Incidence:
     """Mutable vertex-facet incidence of a simple polytope, for cut sequences.
 
-    It holds the vertex set (sorted facet tuples), a facet -> vertices
-    index, and the number of vertices on each ridge.  ``cut`` is the only
-    truncation code in this module: it edits the vertices of the cut face
-    and the ridges they touch, and validates exactly that, so a sequence of
-    cuts costs time in the number of vertices it changes rather than in the
-    size of the polytope.
+    It holds the vertex set (sorted facet tuples) and a facet -> vertices
+    index.  ``cut`` is the only truncation code in this module: it edits
+    only the vertices of the cut face, so a sequence of cuts costs time in
+    the number of vertices it changes rather than in the size of the
+    polytope.  ``polytope()`` returns the result as a ``SimplePolytope``,
+    whose validator is the one full check of every cut made.
     """
 
     def __init__(self, p: SimplePolytope):
@@ -231,67 +230,50 @@ class _Incidence:
         self.facet_count = p.facet_count
         self.vertices: set[tuple[int, ...]] = set()
         self.by_facet: list[set[tuple[int, ...]]] = [set() for _ in range(p.facet_count)]
-        self.ridges: Counter = Counter()
         self._add(tuple(sorted(v)) for v in p.vertices)
 
-    def _add(self, vertices: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Insert vertices; returns the ridges they lie on."""
-        touched = []
+    def _add(self, vertices: Iterable[tuple[int, ...]]) -> None:
         for vt in vertices:
             self.vertices.add(vt)
             for f in vt:
                 self.by_facet[f].add(vt)
-            touched += _ridges(vt)
-        self.ridges.update(touched)
-        return touched
 
-    def _remove(self, vertices: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Delete vertices; returns the ridges they lay on."""
-        touched = []
+    def _remove(self, vertices: Iterable[tuple[int, ...]]) -> None:
         for vt in vertices:
             self.vertices.remove(vt)
             for f in vt:
                 self.by_facet[f].remove(vt)
-            touched += _ridges(vt)
-        self.ridges.subtract(touched)
-        return touched
 
     def cut(self, defining_facets: Iterable[int]) -> list[tuple[int, ...]]:
         """Truncate the face cut out by ``defining_facets``; see ``cut_face``.
 
         The new facet gets index ``facet_count``, and the cut returns the
-        vertices it added.  New vertices are simple and in range by
-        construction; the cut checks what else the full validator of
-        ``SimplePolytope`` would: the new vertices are distinct from each
-        other and from every remaining vertex, every ridge the cut touched
-        lies in 0 or 2 vertices, and no facet it touched is left without a
-        vertex.  A cut that raises leaves the incidence unusable.
+        vertices it added.  It checks only what the incidence would hide from
+        ``SimplePolytope``'s validator: the new vertices are distinct from
+        each other and from every remaining vertex (the vertex set would
+        swallow a duplicate), and a face that is empty because one of its
+        facets has lost every vertex names that fault rather than the empty
+        face.  The rest is validated once, when ``polytope()`` builds the
+        result.  A cut that raises leaves the incidence unusable.
         """
         if self.dim < 2:
             raise ValueError("face truncation needs dimension >= 2")
         defining = _defining_facets(defining_facets, self.facet_count)
         on_face = set.intersection(*sorted((self.by_facet[f] for f in defining), key=len))
         if not on_face:
+            if not all(self.by_facet[f] for f in defining):
+                raise ValueError("facet without any vertex")
             raise ValueError("the given facets have empty intersection")
         if len(defining) < 2:
             raise ValueError("face truncation needs codimension >= 2")
         g = self.facet_count
         self.facet_count += 1
         self.by_facet.append(set())
-        touched = self._remove(on_face)
+        self._remove(on_face)
         added = [w for vt in on_face for w in _replacements(vt, defining, g)]
         if len(set(added)) != len(added) or not self.vertices.isdisjoint(added):
             raise ValueError("duplicate vertex")
-        touched += self._add(added)
-        if not all(self.by_facet[f] for f in set().union(*on_face, [g])):
-            raise ValueError("facet without any vertex")
-        ridges = self.ridges
-        for ridge in touched:
-            count = ridges[ridge]
-            if count == 0:
-                del ridges[ridge]
-            elif count != 2:
-                raise ValueError(f"ridge contained in {count} vertices, expected 2")
+        self._add(added)
         return added
 
     def modify(self, vertex: tuple[int, ...], k: int, side: int) -> list[tuple[int, ...]]:
@@ -632,8 +614,8 @@ def check_plan_size(plan: "ModificationPlan") -> None:
     ``apply_plan`` before its first cut, ``polytope apply-plan`` before
     ``planner.verify_plan``, whose walk of the s_dkn row alone took 1.5 s at
     n = 20,000.  Without the n bound a zero-count n = 2,000 plan passes the
-    vertex limit (7,996 vertices), and its ridges alone are V * n = 1.6e7
-    tuples of n-1 facets.
+    vertex limit (7,996 vertices), and the ridges its validation counts are
+    V * n = 1.6e7 tuples of n-1 facets.
     """
     n = plan.n
     if n > _APPLY_PLAN_MAX_N:
@@ -659,16 +641,16 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
 
     The first vertex comes from a min-heap with lazy deletion: each step
     pushes the vertices its cuts added and pops those already cut away.  The
-    cuts are local edits of one ``_Incidence``, each validating only what it
-    changed; one ``SimplePolytope`` is validated at the end.  The work is
-    linear in the final vertex count V, with a factor of about n^2 for the
-    ridges (tuples of n-1 facets, n per vertex).  ``check_plan_size``
-    refuses plans past n = 100 or past 10,000 vertices before any cut.  At
-    the vertex limit an n = 3 plan (2,498 modifications) took 0.3 s and
-    28 MiB peak RSS, and an n = 32 plan (159 modifications with k = n-2)
-    took 2.7 s and 172 MiB; larger n costs more per vertex: 10 s at n = 64
-    and 25 s and 1.06 GiB at n = 100, the worst case (Python 3.11, shared
-    2-vCPU host).
+    cuts are local edits of one ``_Incidence``; the one ``SimplePolytope``
+    built at the end validates them all.  The work is linear in the final
+    vertex count V, with a factor of about n^2 for that validation's ridges
+    (tuples of n-1 facets, n per vertex).  ``check_plan_size`` refuses plans
+    past n = 100 or past 10,000 vertices before any cut.  At the vertex
+    limit an n = 3 plan (2,498 modifications) took 0.12-0.19 s and 36 MiB
+    peak RSS, and an n = 32 plan (159 modifications with k = n-2) took
+    0.7-1.1 s and 122 MiB; larger n costs more per vertex: 2.2-2.8 s and
+    273 MiB at n = 64, and 4.4-6.8 s and 646 MiB at n = 100, the worst case
+    (Python 3.11, shared 2-vCPU host).
     """
     check_plan_size(plan)
     incidence = _Incidence(plan_base(plan.n))

@@ -1,9 +1,11 @@
+import json
 import random
 import time
 
 import pytest
 
 from cobforge import polytope
+from cobforge.cli import _plan_document, main
 from cobforge.milnor import s_kn
 from cobforge.planner import ModificationPlan
 from cobforge.polytope import (
@@ -558,8 +560,19 @@ def _drop_all(step):
 
 
 def _collide(step):
-    # (0, 1, 3) is a vertex of simplex(3) off the cut vertex (0, 1, 2)
+    # (0, 1, 3) is a vertex of simplex(3) off the cut vertex (0, 1, 2); on
+    # other polytopes every cut adds it, so the second cut collides
     return lambda v, d, g: step(v, d, g)[1:] + [(0, 1, 3)]
+
+
+# every public route into _Incidence; apply_plan's toy plan makes six cuts
+PUBLIC_CUT_PATHS = [
+    lambda: cut_face(simplex(3), (0, 1, 2)),
+    lambda: cut_vertex(simplex(3), 0),
+    lambda: verify_complementary_equiv(simplex(3), 0, 0),
+    lambda: rigidity_demo(3),
+    lambda: apply_plan(toy_plan(4, (1, 1, 0))),
+]
 
 
 @pytest.mark.parametrize(
@@ -571,20 +584,35 @@ def _collide(step):
         (_drop_all, "facet without any vertex"),
     ],
 )
-def test_each_cut_validates_what_it_changed(monkeypatch, broken, message):
+def test_each_cut_validates_what_it_changed(monkeypatch, tmp_path, capsys, broken, message):
     monkeypatch.setattr(polytope, "_replacements", broken(polytope._replacements))
-    # the cut alone raises: no SimplePolytope is built here
     incidence = polytope._Incidence(simplex(3))
-    with pytest.raises(ValueError, match=message):
+    if message == "duplicate vertex":
+        # the vertex set would swallow a duplicate, so the cut itself raises
+        with pytest.raises(ValueError, match=message):
+            incidence.cut((0, 1, 2))
+    else:
+        # everything else is left to the one validator, SimplePolytope's
         incidence.cut((0, 1, 2))
-    with pytest.raises(ValueError):
-        apply_plan(toy_plan(4, (1, 1, 0)))
+        with pytest.raises(ValueError, match=message):
+            incidence.polytope()
+    for path in PUBLIC_CUT_PATHS:
+        with pytest.raises(ValueError, match=message):
+            path()
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(_plan_document(toy_plan(4, (1, 1, 0)))), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n, budget", [(3, 5.0), (32, 10.0)])
+@pytest.mark.parametrize("n, budget", [(3, 5.0), (32, 10.0), (100, 14.0)])
 def test_apply_plan_at_vertex_limit_within_stated_bound(n, budget):
     # n = 3 makes the most cuts per vertex; n = 32 with k = n-2 was the
-    # slowest plan measured at the limit among n <= 32
+    # slowest plan measured at the limit among n <= 32; n = 100 is the worst
+    # case check_plan_size allows (4.4-6.8 s and 646 MiB peak RSS, Python
+    # 3.11, shared 2-vCPU host; the budget leaves 2x for host drift)
     limit = polytope._APPLY_PLAN_VERTEX_LIMIT
     base = plan_vertex_count(n, [0] * (n - 1))
     per_modification = plan_vertex_count(n, [0] * (n - 2) + [1]) - base
