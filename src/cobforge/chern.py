@@ -91,6 +91,14 @@ def _convolve(x: list[int], y: list[int]) -> list[int]:
     return prod + [0] * (size - len(prod))
 
 
+def _checked_bounds(bounds: Iterable[int]) -> tuple[int, ...]:
+    """``bounds`` as a tuple of ints; ``ValueError`` if any is negative."""
+    bounds = tuple(int(m) for m in bounds)
+    if any(m < 0 for m in bounds):
+        raise ValueError("variable bounds must be nonnegative")
+    return bounds
+
+
 class TruncatedPoly:
     """Integer polynomial in x_1..x_r modulo (x_1^(m_1+1), ..., x_r^(m_r+1)).
 
@@ -105,9 +113,7 @@ class TruncatedPoly:
     __slots__ = ("bounds", "dense")
 
     def __init__(self, bounds: Iterable[int], coeffs: Mapping[Monomial, int] | None = None):
-        self.bounds: tuple[int, ...] = tuple(int(m) for m in bounds)
-        if any(m < 0 for m in self.bounds):
-            raise ValueError("variable bounds must be nonnegative")
+        self.bounds: tuple[int, ...] = _checked_bounds(bounds)
         dense = [0] * math.prod(m + 1 for m in self.bounds)
         for exps, c in (coeffs or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -128,8 +134,8 @@ class TruncatedPoly:
 
     @classmethod
     def constant(cls, bounds: Iterable[int], c: int) -> "TruncatedPoly":
-        bounds = tuple(bounds)
-        return cls(bounds, {(0,) * len(bounds): c})
+        bounds = _checked_bounds(bounds)
+        return cls._of(bounds, [int(c)] + [0] * (math.prod(m + 1 for m in bounds) - 1))
 
     @classmethod
     def one(cls, bounds: Iterable[int]) -> "TruncatedPoly":

@@ -15,6 +15,10 @@ quantities are serialized as decimal strings so consumers without big
 integers cannot lose precision.
 
 Exit codes: 0 all checks passed, 1 domain error or failed check, 2 usage.
+The console script (``entrypoint``) restores the default SIGPIPE action
+where the platform has one, so a reader that closes stdout early ends the
+process by SIGPIPE (return code -SIGPIPE), with nothing on stderr;
+in-process ``main()`` callers keep Python's default.
 The environment variable COBFORGE_MAX_N caps the oracle sweep size of the
 ``reproduce`` command: default 100 (1.5-1.7 s end to end with Python 3.11 on
 a 2-vCPU host), at least 2 and at most 150 (about 5 s); any other value,
@@ -38,6 +42,7 @@ import functools
 import json
 import os
 import re
+import signal
 import sys
 from typing import Sequence
 
@@ -451,6 +456,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:  # console-script shim
+    # A closed stdout (``cobforge plan | head -n 1``) ends the process
+    # quietly, as with any Unix filter, instead of an ``error:`` line.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

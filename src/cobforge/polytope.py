@@ -15,6 +15,9 @@ of the exceptional divisor; the two cuts are one B_k step
 ``plan_base(n)``, the moment polytope of its base, and ``rigidity_demo``
 exhibits the pair of modifications with combinatorially equivalent polytopes
 but different Milnor-number changes, checked by ``carries_vertices``.
+``verify_complementary_equiv`` checks that equivalence for any vertex and k
+by its explicit bijection, the swap of the step's two new facets, without
+the ``comb_iso`` search.
 
 All truncation goes through one private mutable incidence, ``_Incidence``,
 whose ``cut`` edits only the vertices of the cut face (the cut formula of
@@ -444,7 +447,9 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     graph isomorphism (Kaibel & Schwartz 2003), so the search is exact and
     its worst case is exponential in m; when the colouring is discrete it
     tries one candidate per facet.  A relabelled 10,006-facet polytope
-    (n = 3) took 0.34-0.55 s (Python 3.11, shared 2-vCPU host).
+    (n = 3) took 0.34-0.55 s (Python 3.11, shared 2-vCPU host).  Its callers
+    are ``polytope iso`` and ``rigidity_demo``; ``verify_complementary_equiv``
+    has an explicit bijection and runs no search.
     """
     m = p.facet_count
     if p.dim != q.dim or m != q.facet_count or len(p.vertices) != len(q.vertices):
@@ -577,20 +582,45 @@ def _complementary_cuts(
     return modified(0), modified(1)
 
 
+def _swap_new_facets(p: SimplePolytope) -> tuple[int, ...]:
+    """The facet bijection of ``verify_complementary_equiv``: g <-> h, else the identity.
+
+    g = ``p.facet_count`` is the facet of a B_k step's vertex cut on p and
+    h = g + 1 the facet of its face cut.
+    """
+    g = p.facet_count
+    return tuple(range(g)) + (g + 1, g)
+
+
 def verify_complementary_equiv(p: SimplePolytope, vertex_index: int, k: int) -> bool:
     """Truncating complementary faces of the fresh facet gives equivalent polytopes.
 
     Cut the chosen vertex; on the new simplex facet take the face spanned by
     its first k+1 vertices and the complementary face spanned by the
     remaining n-k-1, both read off the cut vertex by ``_Incidence.modify``.
-    Truncating either must produce combinatorially isomorphic polytopes;
-    this runs both truncations and the isomorphism search, and checks the
-    bijection it finds with ``carries_vertices``.
+    Truncating either gives combinatorially isomorphic polytopes, by an
+    explicit bijection (``_swap_new_facets``): the identity on p's facets
+    with the vertex cut's facet g and the face cut's facet h = g + 1
+    exchanged.  This builds both polytopes and checks that bijection with
+    ``carries_vertices``, in O(V * n) for V vertices; no search is run.
+
+    Proof.  Write the cut vertex v = (f_1 < ... < f_n), s = n - k - 1 and
+    tau_i = v - {f_i} + {g}, the n vertices on g after the vertex cut.  Side
+    0 cuts the face {f_1, ..., f_s, g}, whose vertices are the tau_i with
+    i > s; it replaces each by v - {f_i, f_j} + {g, h} for every j <= s,
+    plus v - {f_i} + {h}.  Side 1 cuts {f_(s+1), ..., f_n, g} and replaces
+    each tau_i with i <= s by the same pairs, the roles of i and j
+    exchanged, plus v - {f_i} + {h}.  Both sides keep every vertex of p
+    but v.  Swapping g and h fixes those and the pairs (each has both g and
+    h), and carries side 0's kept tau_i (i <= s) and new v - {f_i} + {h}
+    (i > s) onto side 1's new v - {f_i} + {h} (i <= s) and kept tau_i
+    (i > s).  Since 1 <= s <= n - 1, the swap carries neither side onto
+    itself, so the check fails if both sides cut the same face.
     """
     if not 0 <= k <= p.dim - 2:
         raise ValueError(f"k must satisfy 0 <= k <= n-2, got {k}")
     first, last = _complementary_cuts(p, vertex_index, k)
-    return carries_vertices(comb_iso(first, last), first, last)
+    return carries_vertices(_swap_new_facets(p), first, last)
 
 
 def plan_vertex_count(n: int, counts: Iterable[int]) -> int:

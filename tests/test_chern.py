@@ -40,6 +40,23 @@ def test_zero_coefficients_not_stored():
     assert (p - p).is_zero()
 
 
+@pytest.mark.parametrize("bounds", [(), (0,), (3,), (1, 1), (2, 0, 3)])
+def test_constant_and_one_match_the_dict_constructor(bounds):
+    zero = (0,) * len(bounds)
+    for c in (-7, 0, 1, 12):
+        got = TruncatedPoly.constant(bounds, c)
+        assert got == poly(bounds, {zero: c})
+        assert (got.bounds, got.dense) == (bounds, poly(bounds, {zero: c}).dense)
+    assert TruncatedPoly.one(list(bounds)) == poly(bounds, {zero: 1})
+
+
+def test_constant_refuses_negative_bounds():
+    makers = (lambda b: TruncatedPoly.constant(b, 1), TruncatedPoly.one, lambda b: poly(b, {}))
+    for make in makers:
+        with pytest.raises(ValueError, match="variable bounds must be nonnegative"):
+            make((2, -1))
+
+
 def test_mul_examples():
     u = u_poly(1)
     assert (1 + u) * (1 - u) == 1

@@ -1,6 +1,10 @@
 import json
+import os
+import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -635,11 +639,44 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.fixture
+def keep_sigpipe():
+    """Give the test process back the SIGPIPE action that ``entrypoint`` resets."""
+    if not hasattr(signal, "SIGPIPE"):
+        yield
+        return
+    previous = signal.getsignal(signal.SIGPIPE)
+    yield
+    signal.signal(signal.SIGPIPE, previous)
+
+
 @pytest.mark.parametrize("n, code", [("14", 0), ("4", 1)])
-def test_console_script_exit_codes(monkeypatch, capsys, n, code):
+def test_console_script_exit_codes(monkeypatch, capsys, keep_sigpipe, n, code):
     # the ``cobforge`` command of pyproject.toml; gcd 5 at n = 4 fails its check
     monkeypatch.setattr(sys, "argv", ["cobforge", "gcd-check", "--n", n])
     with pytest.raises(SystemExit) as exc:
         cli.entrypoint()
     assert exc.value.code == code
     assert capsys.readouterr().out.endswith(f"gcd-check: {1 - code}/1 checks passed\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_console_script_ends_quietly_on_closed_stdout():
+    # the reader has gone before the first write, as in ``cobforge plan | head -n 1``
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobforge.cli", "plan", "--n", "14"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == -signal.SIGPIPE

@@ -396,8 +396,45 @@ def test_complementary_equiv_other_vertices():
 
 def test_complementary_equiv_checks_bijection_outside_search(monkeypatch):
     # the identity maps facets to facets but is no isomorphism of the two cuts
-    monkeypatch.setattr(polytope, "comb_iso", lambda p, q: tuple(range(p.facet_count)))
+    monkeypatch.setattr(polytope, "_swap_new_facets", lambda p: tuple(range(p.facet_count + 2)))
     assert not verify_complementary_equiv(simplex(3), 0, 0)
+
+
+def test_swap_witness_agrees_with_search():
+    # every vertex and every k of the simplex and the plan base, n = 3..8:
+    # the g <-> h swap carries the vertices, and the search finds a bijection too
+    pairs = 0
+    for n in range(3, 9):
+        for base in (simplex(n), plan_base(n)):
+            swap = polytope._swap_new_facets(base)
+            for vid in range(len(base.vertices)):
+                for k in range(n - 1):
+                    first, last = polytope._complementary_cuts(base, vid, k)
+                    assert polytope.carries_vertices(swap, first, last), (n, vid, k)
+                    iso = comb_iso(first, last)
+                    assert polytope.carries_vertices(iso, first, last), (n, vid, k)
+                    pairs += 1
+    assert pairs == 749
+
+
+def test_complementary_equiv_rejects_the_same_face_twice(monkeypatch):
+    # a modify that cuts side 0 on both sides builds one polytope twice; the
+    # search finds the identity, so only a fixed witness can reject it
+    modify = polytope._Incidence.modify
+
+    def same_face(self, vertex, k, side):
+        return modify(self, vertex, k, 0)
+
+    monkeypatch.setattr(polytope._Incidence, "modify", same_face)
+    pairs = 0
+    for n in range(3, 7):
+        for k in range(n - 1):
+            assert not verify_complementary_equiv(simplex(n), 0, k), (n, k)
+            first, last = polytope._complementary_cuts(simplex(n), 0, k)
+            assert first == last
+            assert polytope.carries_vertices(comb_iso(first, last), first, last)
+            pairs += 1
+    assert pairs == 14
 
 
 def test_modify_cuts_the_named_face_on_each_side():
