@@ -24,9 +24,13 @@ whose ``cut`` edits only the vertices of the cut face (the cut formula of
 Buchstaber & Panov, *Toric Topology*, 2015).  ``cut_face`` makes one cut and
 ``apply_plan`` all of a plan's cuts on one incidence; either way the result
 is one ``SimplePolytope``, whose validator is the one full check of the
-cuts, so ``apply_plan``'s time is linear in the final vertex count.  Plans
-past 10,000 vertices or past n = 100 are refused before any work
-(``check_plan_size``).
+cuts, so ``apply_plan``'s time is linear in the final vertex count.  The
+incidence hashes each vertex tuple once when it is added (its facet index
+holds integer ids), and the validator checks each rule in one C-level pass,
+so at large n the validator's ridge count (n tuples of n-1 facets per
+vertex) is most of the cost: about 70% of an n = 100 plan at the vertex
+limit.  Plans past 10,000 vertices or past n = 100 are refused before any
+work (``check_plan_size``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import heapq
 import itertools
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import milnor
 from .arith import binomial
@@ -50,7 +54,8 @@ _FVECTOR_WORK_LIMIT = 2**25
 # apply_plan's cuts are local edits, so its time grows linearly in the final
 # vertex count (times about n^2 for the one validation of the result's
 # ridges); plans that would build more vertices than this, or past dimension
-# _APPLY_PLAN_MAX_N, are refused (see apply_plan for the measured cost).
+# _APPLY_PLAN_MAX_N, are refused.  At this limit n = 100, the worst case,
+# took 3.8-5.1 s and 587 MiB (see apply_plan for the other n).
 # n <= 100 covers every shipped plan.
 _APPLY_PLAN_VERTEX_LIMIT = 10_000
 _APPLY_PLAN_MAX_N = 100
@@ -60,46 +65,48 @@ class SimplePolytope:
     """Combinatorial simple polytope: dim, facet count, vertex-facet sets.
 
     Vertices are stored canonically (each as a frozenset, listed in
-    lexicographic order of the sorted index tuples).  Construction validates
+    lexicographic order of the sorted index tuples); the sorted tuples are
+    kept too, in ``_tuples``, for the module's own use.  Construction validates
     simplicity, distinctness, that no facet is redundant, and that every
     ridge (an (n-1)-subset of some vertex's facets) lies in exactly two
     vertices, which is the edge condition of a polytope boundary.
     """
 
-    __slots__ = ("dim", "facet_count", "vertices")
+    __slots__ = ("dim", "facet_count", "vertices", "_tuples")
 
     def __init__(self, dim: int, facet_count: int, vertices: Iterable[Iterable[int]]):
         self.dim = int(dim)
         self.facet_count = int(facet_count)
-        ordered = sorted(tuple(sorted(v)) for v in vertices)
-        self.vertices: tuple[frozenset[int], ...] = tuple(frozenset(v) for v in ordered)
-        self._validate(ordered)
+        self._tuples: tuple[tuple[int, ...], ...] = tuple(sorted(map(tuple, map(sorted, vertices))))
+        self.vertices: tuple[frozenset[int], ...] = tuple(map(frozenset, self._tuples))
+        self._validate()
 
-    def _validate(self, ordered: list[tuple[int, ...]]) -> None:
-        if self.dim < 1:
+    def _validate(self) -> None:
+        """Each rule is one pass over all vertices, in C; the rules run in a fixed order."""
+        dim, ordered = self.dim, self._tuples
+        if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.facet_count < self.dim + 1:
+        if self.facet_count < dim + 1:
             raise ValueError("an n-polytope needs at least n+1 facets")
-        used: set[int] = set()
-        for vt in ordered:
-            if len(vt) != self.dim or len(set(vt)) != self.dim:
-                raise ValueError("each vertex must lie on exactly dim distinct facets")
-            if vt[0] < 0 or vt[-1] >= self.facet_count:
-                raise ValueError("facet index out of range")
-            used.update(vt)
-        if len(set(ordered)) != len(ordered):
+        # a tuple of dim facets whose frozenset is shorter repeats a facet
+        if not set(map(len, ordered)) | set(map(len, self.vertices)) <= {dim}:
+            raise ValueError("each vertex must lie on exactly dim distinct facets")
+        used = set(itertools.chain.from_iterable(ordered))
+        if used and (min(used) < 0 or max(used) >= self.facet_count):
+            raise ValueError("facet index out of range")
+        if len(set(self.vertices)) != len(ordered):
             raise ValueError("duplicate vertex")
         if len(used) != self.facet_count:
             raise ValueError("facet without any vertex")
         # the ridges through a vertex: drop one of its dim facets each
-        per_vertex = map(itertools.combinations, ordered, itertools.repeat(self.dim - 1))
+        per_vertex = map(itertools.combinations, ordered, itertools.repeat(dim - 1))
         ridges = Counter(itertools.chain.from_iterable(per_vertex))
-        bad = [r for r, c in ridges.items() if c != 2]
-        if bad:
-            raise ValueError(f"ridge contained in {ridges[bad[0]]} vertices, expected 2")
+        if not set(ridges.values()) <= {2}:
+            bad = next(c for c in ridges.values() if c != 2)
+            raise ValueError(f"ridge contained in {bad} vertices, expected 2")
 
     def vertex_tuples(self) -> list[list[int]]:
-        return [sorted(v) for v in self.vertices]
+        return list(map(list, self._tuples))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplePolytope):
@@ -162,11 +169,7 @@ def simplex(n: int) -> SimplePolytope:
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
     """Product polytope: facets are the disjoint union, vertices are pairs."""
     shift = p.facet_count
-    verts = [
-        sorted(u) + [f + shift for f in sorted(w)]
-        for u in p.vertices
-        for w in q.vertices
-    ]
+    verts = [u + tuple(f + shift for f in w) for u in p._tuples for w in q._tuples]
     return SimplePolytope(p.dim + q.dim, p.facet_count + q.facet_count, verts)
 
 
@@ -185,10 +188,11 @@ def cut_vertex(p: SimplePolytope, vertex_index: int) -> SimplePolytope:
     return cut_face(p, _vertex_at(p, vertex_index))
 
 
-def _vertex_at(p: SimplePolytope, vertex_index: int) -> frozenset[int]:
+def _vertex_at(p: SimplePolytope, vertex_index: int) -> tuple[int, ...]:
+    """The vertex's stored canonical tuple (its facets in increasing order)."""
     if not 0 <= vertex_index < len(p.vertices):
         raise ValueError(f"vertex index {vertex_index} out of range")
-    return p.vertices[vertex_index]
+    return p._tuples[vertex_index]
 
 
 def cut_face(p: SimplePolytope, defining_facets: Iterable[int]) -> SimplePolytope:
@@ -214,38 +218,55 @@ def _replacements(
     ``vertex`` is a sorted facet tuple and g exceeds every facet in it, so the
     replacements are sorted tuples too.
     """
-    return [tuple(f for f in vertex if f != drop) + (g,) for drop in defining]
+    return [vertex[:i] + vertex[i + 1 :] + (g,) for i in map(vertex.index, defining)]
 
 
 class _Incidence:
     """Mutable vertex-facet incidence of a simple polytope, for cut sequences.
 
-    It holds the vertex set (sorted facet tuples) and a facet -> vertices
-    index.  ``cut`` is the only truncation code in this module: it edits
-    only the vertices of the cut face, so a sequence of cuts costs time in
-    the number of vertices it changes rather than in the size of the
-    polytope.  ``polytope()`` returns the result as a ``SimplePolytope``,
-    whose validator is the one full check of every cut made.
+    Each vertex (a sorted facet tuple) gets an integer id when it is added:
+    ``_ids`` maps tuple -> id, ``_tuple_of`` id -> tuple, and ``by_facet``
+    indexes the ids, so a vertex tuple is hashed once when added and once
+    when removed, not once per facet.  ``vertices`` is the live key view of
+    ``_ids``.  Ids are never reused: a removed vertex keeps its slot in
+    ``_tuple_of`` and leaves ``_ids`` and ``by_facet``.  ``cut`` is the
+    only truncation code in this module: it edits only the vertices of the
+    cut face, so a sequence of cuts costs time in the number of vertices it
+    changes rather than in the size of the polytope.  ``polytope()``
+    returns the result as a ``SimplePolytope``, whose validator is the one
+    full check of every cut made.
     """
 
     def __init__(self, p: SimplePolytope):
         self.dim = p.dim
         self.facet_count = p.facet_count
-        self.vertices: set[tuple[int, ...]] = set()
-        self.by_facet: list[set[tuple[int, ...]]] = [set() for _ in range(p.facet_count)]
-        self._add(tuple(sorted(v)) for v in p.vertices)
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._tuple_of: list[tuple[int, ...]] = []
+        self.vertices = self._ids.keys()
+        self.by_facet: list[set[int]] = [set() for _ in range(p.facet_count)]
+        self._add(p._tuples)
 
-    def _add(self, vertices: Iterable[tuple[int, ...]]) -> None:
-        for vt in vertices:
-            self.vertices.add(vt)
+    def _add(self, vertices: Sequence[tuple[int, ...]]) -> None:
+        """Give each vertex the next id; one equal to a present vertex or to another raises."""
+        start, size = len(self._tuple_of), len(self._ids)
+        self._tuple_of += vertices
+        self._ids.update(zip(vertices, itertools.count(start)))
+        if len(self._ids) != size + len(vertices):
+            raise ValueError("duplicate vertex")
+        for i, vt in enumerate(vertices, start):
             for f in vt:
-                self.by_facet[f].add(vt)
+                self.by_facet[f].add(i)
 
-    def _remove(self, vertices: Iterable[tuple[int, ...]]) -> None:
-        for vt in vertices:
-            self.vertices.remove(vt)
+    def _remove(self, ids: Iterable[int]) -> list[tuple[int, ...]]:
+        """Remove the vertices with these ids and return their tuples."""
+        removed = []
+        for i in ids:
+            vt = self._tuple_of[i]
+            del self._ids[vt]
             for f in vt:
-                self.by_facet[f].remove(vt)
+                self.by_facet[f].remove(i)
+            removed.append(vt)
+        return removed
 
     def cut(self, defining_facets: Iterable[int]) -> list[tuple[int, ...]]:
         """Truncate the face cut out by ``defining_facets``; see ``cut_face``.
@@ -272,10 +293,7 @@ class _Incidence:
         g = self.facet_count
         self.facet_count += 1
         self.by_facet.append(set())
-        self._remove(on_face)
-        added = [w for vt in on_face for w in _replacements(vt, defining, g)]
-        if len(set(added)) != len(added) or not self.vertices.isdisjoint(added):
-            raise ValueError("duplicate vertex")
+        added = [w for vt in self._remove(on_face) for w in _replacements(vt, defining, g)]
         self._add(added)
         return added
 
@@ -320,7 +338,7 @@ def f_vector(p: SimplePolytope) -> tuple[int, ...]:
     the shipped plan's 188 vertices (Python 3.11, shared 2-vCPU host).
     """
     _check_fvector_work(len(p.vertices), p.dim)
-    verts = [sorted(v) for v in p.vertices]
+    verts = p._tuples
     return tuple(
         len(set(itertools.chain.from_iterable(itertools.combinations(v, c) for v in verts)))
         for c in range(p.dim, -1, -1)
@@ -572,7 +590,7 @@ def _complementary_cuts(
     p: SimplePolytope, vertex_index: int, k: int
 ) -> tuple[SimplePolytope, SimplePolytope]:
     """Both sides of the B_k step ``_Incidence.modify`` on a vertex of p: both polytopes."""
-    vertex = tuple(sorted(_vertex_at(p, vertex_index)))
+    vertex = _vertex_at(p, vertex_index)
 
     def modified(side: int) -> SimplePolytope:
         incidence = _Incidence(p)
@@ -645,7 +663,8 @@ def check_plan_size(plan: "ModificationPlan") -> None:
     ``planner.verify_plan``, whose walk of the s_dkn row alone took 1.5 s at
     n = 20,000.  Without the n bound a zero-count n = 2,000 plan passes the
     vertex limit (7,996 vertices), and the ridges its validation counts are
-    V * n = 1.6e7 tuples of n-1 facets.
+    V * n = 1.6e7 tuples of n-1 facets; at n = 100 and the vertex limit that
+    count is 9.9e5 tuples, and the whole ``apply_plan`` took 3.8-5.1 s.
     """
     n = plan.n
     if n > _APPLY_PLAN_MAX_N:
@@ -674,13 +693,14 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     cuts are local edits of one ``_Incidence``; the one ``SimplePolytope``
     built at the end validates them all.  The work is linear in the final
     vertex count V, with a factor of about n^2 for that validation's ridges
-    (tuples of n-1 facets, n per vertex).  ``check_plan_size`` refuses plans
-    past n = 100 or past 10,000 vertices before any cut.  At the vertex
-    limit an n = 3 plan (2,498 modifications) took 0.12-0.19 s and 36 MiB
-    peak RSS, and an n = 32 plan (159 modifications with k = n-2) took
-    0.7-1.1 s and 122 MiB; larger n costs more per vertex: 2.2-2.8 s and
-    273 MiB at n = 64, and 4.4-6.8 s and 646 MiB at n = 100, the worst case
-    (Python 3.11, shared 2-vCPU host).
+    (tuples of n-1 facets, n per vertex); the incidence hashes each new
+    vertex tuple once.  ``check_plan_size`` refuses plans past n = 100 or
+    past 10,000 vertices before any cut.  At the vertex limit an n = 3 plan
+    (2,498 modifications) took 0.13-0.16 s and 27 MiB peak RSS, and an
+    n = 32 plan (159 modifications with k = n-2) took 0.70-0.77 s and
+    113 MiB; larger n costs more per vertex: 1.9-2.4 s and 265 MiB at
+    n = 64, and 3.8-5.1 s and 587 MiB at n = 100, the worst case, about 70%
+    of it the ridge count (Python 3.11, shared 2-vCPU host).
     """
     check_plan_size(plan)
     incidence = _Incidence(plan_base(plan.n))
@@ -769,8 +789,10 @@ def from_dict(data: dict) -> SimplePolytope:
         raise ValueError(f"polytope document missing field {exc}") from exc
     if type(dim) is not int or type(facets) is not int:
         raise ValueError("polytope document: dim and facets must be integers")
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, list) and all(type(f) is int for f in v) for v in vertices
+    if (
+        not isinstance(vertices, list)
+        or not set(map(type, vertices)) <= {list}
+        or not set(map(type, itertools.chain.from_iterable(vertices))) <= {int}
     ):
         raise ValueError("polytope document: vertices must be a list of integer lists")
     return SimplePolytope(dim, facets, vertices)

@@ -69,17 +69,44 @@ def test_product_counts():
     assert f_vector(cube(3)) == (8, 12, 6, 1)
 
 
+# one fault per document, so each names exactly one rule
+BAD_POLYTOPES = [
+    ((0, 3, []), "dimension must be >= 1"),
+    ((3, 3, []), "an n-polytope needs at least n\\+1 facets"),
+    ((2, 3, [[0, 1, 2], [0, 1], [1, 2], [2, 0]]), "each vertex must lie on exactly dim distinct"),
+    ((2, 3, [[0, 1], [1, 2], [2, 2]]), "each vertex must lie on exactly dim distinct"),
+    ((2, 3, [[0, 5], [0, 1], [1, 5]]), "facet index out of range"),
+    ((2, 3, [[-1, 1], [1, 2], [2, -1]]), "facet index out of range"),
+    ((2, 3, [[0, 1], [0, 1], [1, 2], [2, 0]]), "duplicate vertex"),
+    ((2, 4, [[0, 1], [1, 2], [2, 0]]), "facet without any vertex"),
+    ((2, 3, []), "facet without any vertex"),
+    ((2, 3, [[0, 1], [0, 2]]), "ridge contained in 1 vertices, expected 2"),  # open edge figure
+]
+
+BAD_DOCUMENTS = [
+    ("[3, 4]", "polytope document must be a JSON object"),
+    ('{"dim": 3, "vertices": []}', "polytope document missing field 'facets'"),
+    ('{"dim": 3.0, "facets": 4, "vertices": []}', "dim and facets must be integers"),
+    ('{"dim": 2, "facets": 3, "vertices": 5}', "vertices must be a list of integer lists"),
+    ('{"dim": 2, "facets": 3, "vertices": [[0, 1], "12", [2, 0]]}', "vertices must be a list"),
+    ('{"dim": 2, "facets": 3, "vertices": [0, 1, 2]}', "vertices must be a list"),
+    ('{"dim": 2, "facets": 3, "vertices": [[0, true], [1, 2], [2, 0]]}', "vertices must be a list"),
+    ('{"dim": 2, "facets": 3, "vertices": [[0, 1], [1, "2"], [2, 0]]}', "vertices must be a list"),
+    ('{"dim": 2, "facets": 3, "vertices": [[0, 1], [1, 2.0], [2, 0]]}', "vertices must be a list"),
+]
+
+
 def test_validation_rejects_bad_data():
-    with pytest.raises(ValueError):
-        SimplePolytope(2, 3, [[0, 1], [0, 2]])  # open edge figure
-    with pytest.raises(ValueError):
-        SimplePolytope(2, 4, [[0, 1], [1, 2], [2, 0]])  # unused facet
-    with pytest.raises(ValueError):
-        SimplePolytope(2, 3, [[0, 1], [0, 1], [1, 2], [2, 0]])  # duplicate
-    with pytest.raises(ValueError):
-        SimplePolytope(2, 3, [[0, 1, 2], [0, 1], [1, 2], [2, 0]])  # not simple
-    with pytest.raises(ValueError):
-        SimplePolytope(2, 3, [[0, 5], [0, 1], [1, 5]])  # index range
+    for args, message in BAD_POLYTOPES:
+        with pytest.raises(ValueError, match=message):
+            SimplePolytope(*args)
+        # a document of the right shape reaches the same validator
+        dim, facets, vertices = args
+        with pytest.raises(ValueError, match=message):
+            from_dict({"dim": dim, "facets": facets, "vertices": vertices})
+    for text, message in BAD_DOCUMENTS:
+        with pytest.raises(ValueError, match=message):
+            from_dict(json.loads(text))
 
 
 def test_face_lookup():
@@ -584,6 +611,25 @@ def test_apply_plan_matches_rebuild_per_cut_replay():
             assert to_dict(apply_plan(plan)) == to_dict(replay_apply_plan(plan)), (n, counts)
 
 
+def test_incidence_index_tracks_live_vertices():
+    # after every B_k step, each by_facet[f] resolves to exactly the live
+    # vertices on f, and no id of a removed vertex is left anywhere
+    rng = random.Random(20)
+    for n in range(3, 8):
+        incidence = polytope._Incidence(plan_base(n))
+        for _ in range(12):
+            vertex = rng.choice(sorted(incidence.vertices))
+            incidence.modify(vertex, rng.randrange(n - 1), rng.randrange(2))
+            live = set(incidence._ids.values())
+            assert all(incidence._tuple_of[i] == v for v, i in incidence._ids.items())
+            assert len(incidence.by_facet) == incidence.facet_count
+            for f, ids in enumerate(incidence.by_facet):
+                assert ids <= live, (n, f)
+                on_f = {incidence._tuple_of[i] for i in ids}
+                assert on_f == {v for v in incidence.vertices if f in v}, (n, f)
+        incidence.polytope()  # and the cuts still validate
+
+
 def _duplicate(step):
     return lambda v, d, g: step(v, d, g) + step(v, d, g)[:1]
 
@@ -648,7 +694,7 @@ def test_each_cut_validates_what_it_changed(monkeypatch, tmp_path, capsys, broke
 def test_apply_plan_at_vertex_limit_within_stated_bound(n, budget):
     # n = 3 makes the most cuts per vertex; n = 32 with k = n-2 was the
     # slowest plan measured at the limit among n <= 32; n = 100 is the worst
-    # case check_plan_size allows (4.4-6.8 s and 646 MiB peak RSS, Python
+    # case check_plan_size allows (3.8-5.1 s and 587 MiB peak RSS, Python
     # 3.11, shared 2-vCPU host; the budget leaves 2x for host drift)
     limit = polytope._APPLY_PLAN_VERTEX_LIMIT
     base = plan_vertex_count(n, [0] * (n - 1))
