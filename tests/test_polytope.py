@@ -75,8 +75,8 @@ BAD_POLYTOPES = [
     ((3, 3, []), "an n-polytope needs at least n\\+1 facets"),
     ((2, 3, [[0, 1, 2], [0, 1], [1, 2], [2, 0]]), "each vertex must lie on exactly dim distinct"),
     ((2, 3, [[0, 1], [1, 2], [2, 2]]), "each vertex must lie on exactly dim distinct"),
-    ((2, 3, [[0, 5], [0, 1], [1, 5]]), "facet index out of range"),
-    ((2, 3, [[-1, 1], [1, 2], [2, -1]]), "facet index out of range"),
+    ((2, 3, [[0, 1], [1, 2], [2, 3], [3, 0]]), "facet index out of range"),  # a square
+    ((2, 3, [[0, 1], [1, 2], [2, -1], [-1, 0]]), "facet index out of range"),
     ((2, 3, [[0, 1], [0, 1], [1, 2], [2, 0]]), "duplicate vertex"),
     ((2, 4, [[0, 1], [1, 2], [2, 0]]), "facet without any vertex"),
     ((2, 3, []), "facet without any vertex"),
@@ -695,7 +695,7 @@ def test_apply_plan_at_vertex_limit_within_stated_bound(n, budget):
     # n = 3 makes the most cuts per vertex; n = 32 with k = n-2 was the
     # slowest plan measured at the limit among n <= 32; n = 100 is the worst
     # case check_plan_size allows (3.8-5.1 s and 587 MiB peak RSS, Python
-    # 3.11, shared 2-vCPU host; the budget leaves 2x for host drift)
+    # 3.11, shared 2-vCPU host; the budget leaves over 2x for host drift)
     limit = polytope._APPLY_PLAN_VERTEX_LIMIT
     base = plan_vertex_count(n, [0] * (n - 1))
     per_modification = plan_vertex_count(n, [0] * (n - 2) + [1]) - base
