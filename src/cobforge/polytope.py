@@ -24,13 +24,13 @@ whose ``cut`` edits only the vertices of the cut face (the cut formula of
 Buchstaber & Panov, *Toric Topology*, 2015).  ``cut_face`` makes one cut and
 ``apply_plan`` all of a plan's cuts on one incidence; either way the result
 is one ``SimplePolytope``, whose validator is the one full check of the
-cuts, so ``apply_plan``'s time is linear in the final vertex count.  The
-incidence hashes each vertex tuple once when it is added (its facet index
-holds integer ids), and the validator checks each rule in one C-level pass,
-so at large n the validator's ridge count (n tuples of n-1 facets per
-vertex) is most of the cost: about 70% of an n = 100 plan at the vertex
-limit.  Plans past 10,000 vertices or past n = 100 are refused before any
-work (``check_plan_size``).
+cuts, so ``apply_plan``'s time is linear in the final vertex count.  A
+vertex has one format everywhere, its sorted facet tuple; the incidence
+hashes it once when it is added (its facet index holds integer ids), and
+the validator checks each rule in one C-level pass, so at large n the
+ridge count (n tuples of n-1 facets per vertex) is most of the cost: about
+three quarters of an n = 100 plan at the vertex limit.  Plans past 10,000
+vertices or past n = 100 are refused before any work (``check_plan_size``).
 """
 
 from __future__ import annotations
@@ -55,46 +55,50 @@ _FVECTOR_WORK_LIMIT = 2**25
 # vertex count (times about n^2 for the one validation of the result's
 # ridges); plans that would build more vertices than this, or past dimension
 # _APPLY_PLAN_MAX_N, are refused.  At this limit n = 100, the worst case,
-# took 3.8-5.1 s and 587 MiB (see apply_plan for the other n).
+# took 3.3-3.9 s and 507 MiB (see apply_plan for the other n).
 # n <= 100 covers every shipped plan.
 _APPLY_PLAN_VERTEX_LIMIT = 10_000
 _APPLY_PLAN_MAX_N = 100
 
 
 class SimplePolytope:
-    """Combinatorial simple polytope: dim, facet count, vertex-facet sets.
+    """Combinatorial simple polytope: dim, facet count, vertex-facet incidence.
 
-    Vertices are stored canonically (each as a frozenset, listed in
-    lexicographic order of the sorted index tuples); the sorted tuples are
-    kept too, in ``_tuples``, for the module's own use.  Construction validates
-    simplicity, distinctness, that no facet is redundant, and that every
-    ridge (an (n-1)-subset of some vertex's facets) lies in exactly two
-    vertices, which is the edge condition of a polytope boundary.
+    ``vertices`` is the one vertex format, the one ``to_dict`` writes: the
+    sorted tuple of each vertex's ``int`` facet indices, the tuples in sorted
+    order.  Construction refuses a non-``int`` (or ``bool``) dim, facet
+    count or facet index before any sort, then validates simplicity,
+    distinctness, that no facet is redundant, and that every ridge (an
+    (n-1)-subset of some vertex's facets) lies in exactly two vertices, the
+    edge condition of a polytope boundary.
     """
 
-    __slots__ = ("dim", "facet_count", "vertices", "_tuples")
+    __slots__ = ("dim", "facet_count", "vertices")
 
     def __init__(self, dim: int, facet_count: int, vertices: Iterable[Iterable[int]]):
-        self.dim = int(dim)
-        self.facet_count = int(facet_count)
-        self._tuples: tuple[tuple[int, ...], ...] = tuple(sorted(map(tuple, map(sorted, vertices))))
-        self.vertices: tuple[frozenset[int], ...] = tuple(map(frozenset, self._tuples))
+        if type(dim) is not int or type(facet_count) is not int:
+            raise ValueError("dim and facets must be integers")
+        rows = list(vertices)
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            raise ValueError("facet indices must be integers")
+        self.dim, self.facet_count = dim, facet_count
+        self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(map(tuple, map(sorted, rows))))
         self._validate()
 
     def _validate(self) -> None:
         """Each rule is one pass over all vertices, in C; the rules run in a fixed order."""
-        dim, ordered = self.dim, self._tuples
+        dim, ordered = self.dim, self.vertices
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         if self.facet_count < dim + 1:
             raise ValueError("an n-polytope needs at least n+1 facets")
-        # a tuple of dim facets whose frozenset is shorter repeats a facet
-        if not set(map(len, ordered)) | set(map(len, self.vertices)) <= {dim}:
+        # a tuple of dim facets whose set is shorter repeats a facet
+        if not set(map(len, ordered)) | set(map(len, map(set, ordered))) <= {dim}:
             raise ValueError("each vertex must lie on exactly dim distinct facets")
         used = set(itertools.chain.from_iterable(ordered))
         if used and (min(used) < 0 or max(used) >= self.facet_count):
             raise ValueError("facet index out of range")
-        if len(set(self.vertices)) != len(ordered):
+        if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate vertex")
         if len(used) != self.facet_count:
             raise ValueError("facet without any vertex")
@@ -106,7 +110,7 @@ class SimplePolytope:
             raise ValueError(f"ridge contained in {bad} vertices, expected 2")
 
     def vertex_tuples(self) -> list[list[int]]:
-        return list(map(list, self._tuples))
+        return list(map(list, self.vertices))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplePolytope):
@@ -132,12 +136,12 @@ class Face:
     """A face of a simple polytope, named by its defining facet set.
 
     In a simple polytope a nonempty intersection of c facets has codimension
-    exactly c; ``vertex_set`` lists the vertices lying on the face.
+    exactly c; ``vertex_set`` lists the face's vertices as ``vertices`` does.
     """
 
     defining_facets: frozenset[int]
     codim: int
-    vertex_set: tuple[frozenset[int], ...]
+    vertex_set: tuple[tuple[int, ...], ...]
 
 
 def _defining_facets(defining_facets: Iterable[int], facet_count: int) -> frozenset[int]:
@@ -152,7 +156,7 @@ def _defining_facets(defining_facets: Iterable[int], facet_count: int) -> frozen
 def face(p: SimplePolytope, defining_facets: Iterable[int]) -> Face:
     """The face cut out by the given facets; raises if the intersection is empty."""
     defining = _defining_facets(defining_facets, p.facet_count)
-    verts = tuple(v for v in p.vertices if defining <= v)
+    verts = tuple(v for v in p.vertices if defining.issubset(v))
     if not verts:
         raise ValueError("the given facets have empty intersection")
     return Face(defining_facets=defining, codim=len(defining), vertex_set=verts)
@@ -169,7 +173,7 @@ def simplex(n: int) -> SimplePolytope:
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
     """Product polytope: facets are the disjoint union, vertices are pairs."""
     shift = p.facet_count
-    verts = [u + tuple(f + shift for f in w) for u in p._tuples for w in q._tuples]
+    verts = [u + tuple(f + shift for f in w) for u in p.vertices for w in q.vertices]
     return SimplePolytope(p.dim + q.dim, p.facet_count + q.facet_count, verts)
 
 
@@ -192,7 +196,7 @@ def _vertex_at(p: SimplePolytope, vertex_index: int) -> tuple[int, ...]:
     """The vertex's stored canonical tuple (its facets in increasing order)."""
     if not 0 <= vertex_index < len(p.vertices):
         raise ValueError(f"vertex index {vertex_index} out of range")
-    return p._tuples[vertex_index]
+    return p.vertices[vertex_index]
 
 
 def cut_face(p: SimplePolytope, defining_facets: Iterable[int]) -> SimplePolytope:
@@ -244,7 +248,7 @@ class _Incidence:
         self._tuple_of: list[tuple[int, ...]] = []
         self.vertices = self._ids.keys()
         self.by_facet: list[set[int]] = [set() for _ in range(p.facet_count)]
-        self._add(p._tuples)
+        self._add(p.vertices)
 
     def _add(self, vertices: Sequence[tuple[int, ...]]) -> None:
         """Give each vertex the next id; one equal to a present vertex or to another raises."""
@@ -338,9 +342,8 @@ def f_vector(p: SimplePolytope) -> tuple[int, ...]:
     the shipped plan's 188 vertices (Python 3.11, shared 2-vCPU host).
     """
     _check_fvector_work(len(p.vertices), p.dim)
-    verts = p._tuples
     return tuple(
-        len(set(itertools.chain.from_iterable(itertools.combinations(v, c) for v in verts)))
+        len(set(itertools.chain.from_iterable(itertools.combinations(v, c) for v in p.vertices)))
         for c in range(p.dim, -1, -1)
     )
 
@@ -532,7 +535,7 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
             pending[vid] -= 1
             if not pending[vid]:
                 done.append(vid)
-        if all(frozenset(map(image, p_verts[vid])) in q_vertex_set for vid in done):
+        if all(tuple(sorted(map(image, p_verts[vid]))) in q_vertex_set for vid in done):
             return True
         unplace(i)
         return False
@@ -582,7 +585,7 @@ def carries_vertices(
     return (
         mapping is not None
         and len(p.vertices) == len(q.vertices)
-        and {frozenset(mapping[f] for f in v) for v in p.vertices} == set(q.vertices)
+        and {tuple(sorted(map(mapping.__getitem__, v))) for v in p.vertices} == set(q.vertices)
     )
 
 
@@ -664,7 +667,7 @@ def check_plan_size(plan: "ModificationPlan") -> None:
     n = 20,000.  Without the n bound a zero-count n = 2,000 plan passes the
     vertex limit (7,996 vertices), and the ridges its validation counts are
     V * n = 1.6e7 tuples of n-1 facets; at n = 100 and the vertex limit that
-    count is 9.9e5 tuples, and the whole ``apply_plan`` took 3.8-5.1 s.
+    count is 9.9e5 tuples, and the whole ``apply_plan`` took 3.3-3.9 s.
     """
     n = plan.n
     if n > _APPLY_PLAN_MAX_N:
@@ -696,11 +699,11 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     (tuples of n-1 facets, n per vertex); the incidence hashes each new
     vertex tuple once.  ``check_plan_size`` refuses plans past n = 100 or
     past 10,000 vertices before any cut.  At the vertex limit an n = 3 plan
-    (2,498 modifications) took 0.13-0.16 s and 27 MiB peak RSS, and an
-    n = 32 plan (159 modifications with k = n-2) took 0.70-0.77 s and
-    113 MiB; larger n costs more per vertex: 1.9-2.4 s and 265 MiB at
-    n = 64, and 3.8-5.1 s and 587 MiB at n = 100, the worst case, about 70%
-    of it the ridge count (Python 3.11, shared 2-vCPU host).
+    (2,498 modifications) took 0.08-0.12 s and 25 MiB peak RSS, and an
+    n = 32 plan (159 modifications with k = n-2) took 0.54-0.65 s and
+    91 MiB; larger n costs more per vertex: 1.6-1.9 s and 243 MiB at
+    n = 64, and 3.3-3.9 s and 507 MiB at n = 100, the worst case, about
+    three quarters of it the ridge count (Python 3.11, shared 2-vCPU host).
     """
     check_plan_size(plan)
     incidence = _Incidence(plan_base(plan.n))
@@ -787,12 +790,6 @@ def from_dict(data: dict) -> SimplePolytope:
         dim, facets, vertices = data["dim"], data["facets"], data["vertices"]
     except KeyError as exc:
         raise ValueError(f"polytope document missing field {exc}") from exc
-    if type(dim) is not int or type(facets) is not int:
-        raise ValueError("polytope document: dim and facets must be integers")
-    if (
-        not isinstance(vertices, list)
-        or not set(map(type, vertices)) <= {list}
-        or not set(map(type, itertools.chain.from_iterable(vertices))) <= {int}
-    ):
-        raise ValueError("polytope document: vertices must be a list of integer lists")
+    if not isinstance(vertices, list) or not set(map(type, vertices)) <= {list}:
+        raise ValueError("polytope document: vertices must be a list of lists")
     return SimplePolytope(dim, facets, vertices)

@@ -181,8 +181,8 @@ def test_figure_reproduction():
     g = s.facet_count
     q = cut_vertex(s, 0)
     gverts = [v for v in q.vertices if g in v]
-    p1 = cut_face(q, frozenset.intersection(*gverts[:1]))
-    p2 = cut_face(q, frozenset.intersection(*gverts[1:]))
+    p1 = cut_face(q, gverts[0])
+    p2 = cut_face(q, set(gverts[1]).intersection(*gverts[2:]))
     assert p1.facet_count == 6 and len(p1.vertices) == 8
     assert p2.facet_count == 6 and len(p2.vertices) == 8
     assert comb_iso(p1, p2) is not None

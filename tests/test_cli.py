@@ -179,7 +179,7 @@ def test_polytope_cut_face_and_iso(tmp_path):
     qfile = tmp_path / "q.json"
     write_polytope(qfile, q)
     gverts = [v for v in q.vertices if s.facet_count in v]
-    edge = sorted(frozenset.intersection(*gverts[1:]))
+    edge = sorted(set(gverts[1]).intersection(*gverts[2:]))
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
     rc = main(
@@ -449,7 +449,7 @@ def cli_inputs(tmp_path):
     doc = {"n": 4, "a": 1, "base_milnor": "5", "counts": [1, 0, 0], "predicted_milnor": "-5"}
     paths["plan"].write_text(json.dumps(doc), encoding="utf-8")
     gverts = [v for v in q.vertices if s.facet_count in v]
-    edge = ",".join(str(f) for f in sorted(frozenset.intersection(*gverts[1:])))
+    edge = ",".join(str(f) for f in sorted(set(gverts[1]).intersection(*gverts[2:])))
     return {**{name: str(path) for name, path in paths.items()}, "edge": edge}
 
 

@@ -81,18 +81,25 @@ BAD_POLYTOPES = [
     ((2, 4, [[0, 1], [1, 2], [2, 0]]), "facet without any vertex"),
     ((2, 3, []), "facet without any vertex"),
     ((2, 3, [[0, 1], [0, 2]]), "ridge contained in 1 vertices, expected 2"),  # open edge figure
+    # the integer rule comes first, before any sort
+    ((3.9, 4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]), "dim and facets must be integers"),
+    ((2, 3.0, [[0, 1], [1, 2], [2, 0]]), "dim and facets must be integers"),
+    ((True, 2, [[0], [1]]), "dim and facets must be integers"),
+    ((2, 3, [[0, 1.0], [1, 2], [2, 0]]), "facet indices must be integers"),
+    ((2, 3, [[0, True], [1, 2], [2, 0]]), "facet indices must be integers"),
+    ((2, 3, [[0, 1], [1, "2"], [2, 0]]), "facet indices must be integers"),
 ]
 
 BAD_DOCUMENTS = [
     ("[3, 4]", "polytope document must be a JSON object"),
     ('{"dim": 3, "vertices": []}', "polytope document missing field 'facets'"),
     ('{"dim": 3.0, "facets": 4, "vertices": []}', "dim and facets must be integers"),
-    ('{"dim": 2, "facets": 3, "vertices": 5}', "vertices must be a list of integer lists"),
+    ('{"dim": 2, "facets": 3, "vertices": 5}', "vertices must be a list of lists"),
     ('{"dim": 2, "facets": 3, "vertices": [[0, 1], "12", [2, 0]]}', "vertices must be a list"),
     ('{"dim": 2, "facets": 3, "vertices": [0, 1, 2]}', "vertices must be a list"),
-    ('{"dim": 2, "facets": 3, "vertices": [[0, true], [1, 2], [2, 0]]}', "vertices must be a list"),
-    ('{"dim": 2, "facets": 3, "vertices": [[0, 1], [1, "2"], [2, 0]]}', "vertices must be a list"),
-    ('{"dim": 2, "facets": 3, "vertices": [[0, 1], [1, 2.0], [2, 0]]}', "vertices must be a list"),
+    ('{"dim": 2, "facets": 3, "vertices": [[0, true], [1, 2], [2, 0]]}', "facet indices must be"),
+    ('{"dim": 2, "facets": 3, "vertices": [[0, 1], [1, "2"], [2, 0]]}', "facet indices must be"),
+    ('{"dim": 2, "facets": 3, "vertices": [[0, 1], [1, 2.0], [2, 0]]}', "facet indices must be"),
 ]
 
 
@@ -107,6 +114,50 @@ def test_validation_rejects_bad_data():
     for text, message in BAD_DOCUMENTS:
         with pytest.raises(ValueError, match=message):
             from_dict(json.loads(text))
+
+
+def test_bad_documents_exit_one_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    texts = [text for text, _ in BAD_DOCUMENTS] + [
+        json.dumps({"dim": dim, "facets": facets, "vertices": vertices})
+        for (dim, facets, vertices), _ in BAD_POLYTOPES
+    ]
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        assert main(["polytope", "hvec", "--infile", str(path)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+
+
+def canonical_form(p):
+    return all(type(f) is int for v in p.vertices for f in v) and all(
+        type(v) is tuple and list(v) == sorted(v) for v in p.vertices
+    )
+
+
+def test_vertices_are_the_sorted_integer_tuples_to_dict_writes():
+    base = plan_base(4)
+    doc = to_dict(cut_vertex(base, 3))
+    rng = random.Random(21)
+    shuffled = [rng.sample(v, len(v)) for v in doc["vertices"]]
+    rng.shuffle(shuffled)
+    built = [
+        simplex(3),
+        base,
+        cut_vertex(base, 3),
+        cut_face(base, sorted(base.vertices[5])[:2]),
+        apply_plan(toy_plan(5, (1, 0, 2, 1))),
+        from_dict(dict(doc, vertices=shuffled)),
+    ]
+    for p in built:
+        assert canonical_form(p), p
+        assert p.vertices == tuple(map(tuple, to_dict(p)["vertices"])), p
+        assert list(p.vertices) == sorted(p.vertices), p
+    # equal inputs in another order give equal polytopes with equal hashes
+    loaded = built[-1]
+    assert loaded == built[2] and hash(loaded) == hash(built[2])
+    backwards = SimplePolytope(base.dim, base.facet_count, [v[::-1] for v in base.vertices[::-1]])
+    assert backwards == base and hash(backwards) == hash(base)
 
 
 def test_face_lookup():
@@ -144,7 +195,7 @@ def test_cut_face_figure_counts():
     q = cut_vertex(s, 0)
     g = s.facet_count
     gverts = [v for v in q.vertices if g in v]
-    edge = frozenset.intersection(*gverts[1:])
+    edge = set(gverts[1]).intersection(*gverts[2:])
     r = cut_face(q, edge)
     assert r.facet_count == 6 and len(r.vertices) == 8
 
@@ -157,7 +208,7 @@ def test_cut_face_full_codim_equals_cut_vertex():
     expected = SimplePolytope(
         q.dim,
         g + 1,
-        [w for w in q.vertices if w != target] + [(target - {f}) | {g} for f in target],
+        [w for w in q.vertices if w != target] + [set(target) - {f} | {g} for f in target],
     )
     assert cut_face(q, target) == cut_vertex(q, 2) == expected
 
@@ -244,13 +295,13 @@ def test_comb_iso_symmetric_and_consistent():
     q = cut_vertex(s, 0)
     g = s.facet_count
     gverts = [v for v in q.vertices if g in v]
-    p1 = cut_face(q, frozenset.intersection(*gverts[:1]))
-    p2 = cut_face(q, frozenset.intersection(*gverts[1:]))
+    p1 = cut_face(q, gverts[0])
+    p2 = cut_face(q, set(gverts[1]).intersection(*gverts[2:]))
     iso = comb_iso(p1, p2)
     assert iso is not None
     assert comb_iso(p2, p1) is not None
     assert sorted(iso) == list(range(p1.facet_count))
-    mapped = {frozenset(iso[f] for f in v) for v in p1.vertices}
+    mapped = {tuple(sorted(iso[f] for f in v)) for v in p1.vertices}
     assert mapped == set(p2.vertices)
     assert f_vector(p1) == f_vector(p2)
     assert h_vector(p1) == h_vector(p2)
@@ -264,7 +315,7 @@ def test_comb_iso_nontrivial_relabeling():
     )
     iso = comb_iso(base, relabeled)
     assert iso is not None
-    mapped = {frozenset(iso[f] for f in v) for v in base.vertices}
+    mapped = {tuple(sorted(iso[f] for f in v)) for v in base.vertices}
     assert mapped == set(relabeled.vertices)
 
 
@@ -275,7 +326,9 @@ def relabelled(p, rng):
 
 
 def carries_vertices(iso, p, q):
-    return iso is not None and {frozenset(iso[f] for f in v) for v in p.vertices} == set(q.vertices)
+    if iso is None:
+        return False
+    return {tuple(sorted(iso[f] for f in v)) for v in p.vertices} == set(q.vertices)
 
 
 def round_based_labels(p):
@@ -285,7 +338,7 @@ def round_based_labels(p):
     for v in p.vertices:
         for a in v:
             degree[a] += 1
-            adj[a].update(v - {a})
+            adj[a].update(set(v) - {a})
     labels = degree
     for _ in range(p.facet_count):
         sigs = [(labels[i], tuple(sorted(labels[j] for j in adj[i]))) for i in range(p.facet_count)]
@@ -379,7 +432,7 @@ def same_size_pairs():
     g = base.facet_count
     q = cut_vertex(base, 0)
     gverts = [v for v in q.vertices if g in v]
-    vertex_face = frozenset.intersection(*gverts[:1])
+    vertex_face = set(gverts[0])
     pairs = [
         (simplex(3), cube(3)),
         (cut_vertex(simplex(3), 0), simplex(3)),
@@ -475,12 +528,12 @@ def test_modify_cuts_the_named_face_on_each_side():
                 q = cut_vertex(base, vid)
                 fresh = [v for v in q.vertices if g in v]
                 for k in range(n - 1):
-                    first = frozenset.intersection(*fresh[: k + 1])
-                    rest = frozenset.intersection(*fresh[k + 1 :])
+                    first = set(fresh[0]).intersection(*fresh[1 : k + 1])
+                    rest = set(fresh[k + 1]).intersection(*fresh[k + 2 :])
                     assert (len(first), len(rest)) == (n - k, k + 2)
                     for side, expected in enumerate((first, rest)):
                         incidence = polytope._Incidence(base)
-                        vertex = tuple(sorted(base.vertices[vid]))
+                        vertex = base.vertices[vid]
                         added = incidence.modify(vertex, k, side)
                         assert incidence.polytope() == cut_face(q, expected), (n, vid, k, side)
                         # what modify returns is what its two cuts return
@@ -501,7 +554,7 @@ def test_non_complementary_faces_can_differ():
     g = base.facet_count
     q = cut_vertex(base, 0)
     gverts = [v for v in q.vertices if g in v]
-    vertex_face = frozenset.intersection(*gverts[:1])
+    vertex_face = set(gverts[0])
     p_vertex = cut_face(q, vertex_face)
     first_facet = min(vertex_face - {g})
     p_overlap = cut_face(q, frozenset([g, first_facet]))
@@ -584,10 +637,11 @@ def replay_apply_plan(plan):
     """
 
     def rebuild_cut(p, defining):
-        on_face = [v for v in p.vertices if defining <= v]
-        verts = [sorted(w) for w in p.vertices if not defining <= w]
+        defining = set(defining)
+        on_face = [v for v in p.vertices if defining.issubset(v)]
+        verts = [sorted(w) for w in p.vertices if not defining.issubset(w)]
         for v in on_face:
-            verts += [sorted((v - {drop}) | {p.facet_count}) for drop in defining]
+            verts += [sorted(set(v) - {drop} | {p.facet_count}) for drop in defining]
         return SimplePolytope(p.dim, p.facet_count + 1, verts)
 
     poly = plan_base(plan.n)
@@ -596,7 +650,7 @@ def replay_apply_plan(plan):
             g = poly.facet_count
             poly = rebuild_cut(poly, poly.vertices[0])
             fresh = [v for v in poly.vertices if g in v]
-            poly = rebuild_cut(poly, frozenset.intersection(*fresh[: k + 1]))
+            poly = rebuild_cut(poly, set(fresh[0]).intersection(*fresh[1 : k + 1]))
     return poly
 
 
@@ -747,7 +801,7 @@ def test_rigidity_demo(n):
     assert rep.delta_top == s_kn(n, n - 2)
     # the report's polytopes are the ones its bijection and h-vectors describe
     assert (h_vector(rep.first), h_vector(rep.last)) == (rep.h_first, rep.h_last)
-    mapped = {frozenset(rep.facet_bijection[f] for f in v) for v in rep.first.vertices}
+    mapped = {tuple(sorted(rep.facet_bijection[f] for f in v)) for v in rep.first.vertices}
     assert mapped == set(rep.last.vertices)
 
 
