@@ -92,8 +92,10 @@ def _convolve(x: list[int], y: list[int]) -> list[int]:
 
 
 def _checked_bounds(bounds: Iterable[int]) -> tuple[int, ...]:
-    """``bounds`` as a tuple of ints; ``ValueError`` if any is negative."""
-    bounds = tuple(int(m) for m in bounds)
+    """``bounds`` as a tuple; ``ValueError`` unless each is an ``int`` >= 0."""
+    bounds = tuple(bounds)
+    if not set(map(type, bounds)) <= {int}:
+        raise ValueError("variable bounds must be integers")
     if any(m < 0 for m in bounds):
         raise ValueError("variable bounds must be nonnegative")
     return bounds
@@ -116,13 +118,15 @@ class TruncatedPoly:
         self.bounds: tuple[int, ...] = _checked_bounds(bounds)
         dense = [0] * math.prod(m + 1 for m in self.bounds)
         for exps, c in (coeffs or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            if not set(map(type, exps)) <= {int} or type(c) is not int:
+                raise ValueError("exponents and coefficients must be integers")
             if len(exps) != len(self.bounds):
                 raise ValueError("exponent tuple does not match variable count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             if all(e <= m for e, m in zip(exps, self.bounds)):
-                dense[_index(exps, self.bounds)] = int(c)
+                dense[_index(exps, self.bounds)] = c
         self.dense = dense
 
     @classmethod
@@ -164,7 +168,9 @@ class TruncatedPoly:
         """
         power = cls.one(bounds)
         bounds, dense = power.bounds, power.dense
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(degrees)
+        if not set(map(type, degrees)) <= {int}:
+            raise ValueError("degrees must be integers")
         if len(degrees) != len(bounds):
             raise ValueError("degree tuple does not match variable count")
         if not isinstance(exponent, int) or exponent < 0:
@@ -317,10 +323,11 @@ class ProjBundleSpec:
     conjugated_trivial: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_dims", tuple(int(m) for m in self.base_dims))
-        object.__setattr__(
-            self, "summands", tuple(tuple(int(d) for d in s) for s in self.summands)
-        )
+        object.__setattr__(self, "base_dims", tuple(self.base_dims))
+        object.__setattr__(self, "summands", tuple(map(tuple, self.summands)))
+        entries = itertools.chain(self.base_dims, *self.summands)
+        if not set(map(type, entries)) <= {int}:
+            raise ValueError("base dimensions and summand degrees must be integers")
         if any(m < 0 for m in self.base_dims):
             raise ValueError("base dimensions must be nonnegative")
         if any(len(s) != len(self.base_dims) for s in self.summands):

@@ -92,7 +92,9 @@ def represent(x: int, basis) -> Representation:
     r = (x + s0*step) % m, and s is their minimum.  Cost: a Dijkstra over m
     residues, then this O(m) lift, whatever the size of s.
     """
-    vals = tuple(int(t) for t in basis)
+    vals = tuple(basis)
+    if not set(map(type, (x, *vals))) <= {int}:
+        raise ValueError("target and basis must be integers")
     if not vals:
         raise ValueError("basis must be nonempty")
     if vals[0] <= 0:

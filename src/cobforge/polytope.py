@@ -20,17 +20,18 @@ by its explicit bijection, the swap of the step's two new facets, without
 the ``comb_iso`` search.
 
 All truncation goes through one private mutable incidence, ``_Incidence``,
-whose ``cut`` edits only the vertices of the cut face (the cut formula of
-Buchstaber & Panov, *Toric Topology*, 2015).  ``cut_face`` makes one cut and
+a vertex set whose ``cut`` is handed the vertices of the face it cuts and
+edits only those (the cut formula of Buchstaber & Panov, *Toric Topology*,
+2015): ``cut_face`` names them with ``face``, and a B_k step's face cut
+takes them from its vertex cut's output.  ``cut_face`` makes one cut and
 ``apply_plan`` all of a plan's cuts on one incidence; either way the result
 is one ``SimplePolytope``, whose validator is the one full check of the
 cuts, so ``apply_plan``'s time is linear in the final vertex count.  A
-vertex has one format everywhere, its sorted facet tuple; the incidence
-hashes it once when it is added (its facet index holds integer ids), and
-the validator checks each rule in one C-level pass, so at large n the
-ridge count (n tuples of n-1 facets per vertex) is most of the cost: about
-three quarters of an n = 100 plan at the vertex limit.  Plans past 10,000
-vertices or past n = 100 are refused before any work (``check_plan_size``).
+vertex has one format everywhere, its sorted facet tuple, and the validator
+checks each rule in one C-level pass, so at large n the ridge count (n
+tuples of n-1 facets per vertex) is most of the cost: about three quarters
+of an n = 100 plan at the vertex limit.  Plans past 10,000 vertices or past
+n = 100 are refused before any work (``check_plan_size``).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ _FVECTOR_WORK_LIMIT = 2**25
 # vertex count (times about n^2 for the one validation of the result's
 # ridges); plans that would build more vertices than this, or past dimension
 # _APPLY_PLAN_MAX_N, are refused.  At this limit n = 100, the worst case,
-# took 3.3-3.9 s and 507 MiB (see apply_plan for the other n).
+# took 3.0-3.6 s and 457 MiB (see apply_plan for the other n).
 # n <= 100 covers every shipped plan.
 _APPLY_PLAN_VERTEX_LIMIT = 10_000
 _APPLY_PLAN_MAX_N = 100
@@ -79,7 +80,11 @@ class SimplePolytope:
         if type(dim) is not int or type(facet_count) is not int:
             raise ValueError("dim and facets must be integers")
         rows = list(vertices)
-        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        try:
+            facet_types = set(map(type, itertools.chain.from_iterable(rows)))
+        except TypeError:
+            raise ValueError("each vertex must be an iterable of facet indices") from None
+        if not facet_types <= {int}:
             raise ValueError("facet indices must be integers")
         self.dim, self.facet_count = dim, facet_count
         self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(map(tuple, map(sorted, rows))))
@@ -144,18 +149,16 @@ class Face:
     vertex_set: tuple[tuple[int, ...], ...]
 
 
-def _defining_facets(defining_facets: Iterable[int], facet_count: int) -> frozenset[int]:
-    defining = frozenset(int(f) for f in defining_facets)
-    if not defining:
-        raise ValueError("a face needs at least one defining facet")
-    if any(not 0 <= f < facet_count for f in defining):
-        raise ValueError("facet index out of range")
-    return defining
-
-
 def face(p: SimplePolytope, defining_facets: Iterable[int]) -> Face:
     """The face cut out by the given facets; raises if the intersection is empty."""
-    defining = _defining_facets(defining_facets, p.facet_count)
+    facets = tuple(defining_facets)
+    if not set(map(type, facets)) <= {int}:
+        raise ValueError("facet indices must be integers")
+    defining = frozenset(facets)
+    if not defining:
+        raise ValueError("a face needs at least one defining facet")
+    if any(not 0 <= f < p.facet_count for f in defining):
+        raise ValueError("facet index out of range")
     verts = tuple(v for v in p.vertices if defining.issubset(v))
     if not verts:
         raise ValueError("the given facets have empty intersection")
@@ -187,13 +190,15 @@ def cut_vertex(p: SimplePolytope, vertex_index: int) -> SimplePolytope:
 
     A new facet replaces the vertex by dim new vertices; the i-th lies on the
     new facet and on all old facets of the vertex except the i-th (in sorted
-    order).  Dimension 1 is refused by the cut itself.
+    order).  Dimension 1 is refused by ``cut_face``.
     """
     return cut_face(p, _vertex_at(p, vertex_index))
 
 
 def _vertex_at(p: SimplePolytope, vertex_index: int) -> tuple[int, ...]:
     """The vertex's stored canonical tuple (its facets in increasing order)."""
+    if type(vertex_index) is not int:
+        raise ValueError("vertex index must be an integer")
     if not 0 <= vertex_index < len(p.vertices):
         raise ValueError(f"vertex index {vertex_index} out of range")
     return p.vertices[vertex_index]
@@ -206,11 +211,17 @@ def cut_face(p: SimplePolytope, defining_facets: Iterable[int]) -> SimplePolytop
     others, is replaced by c new vertices: the j-th keeps the n-c others,
     picks up the new facet, and drops the j-th defining facet.  With c = n
     this is exactly a vertex truncation.  The new facet is combinatorially
-    the product of the face with a (c-1)-simplex.  The result is validated
-    in full as a ``SimplePolytope``.
+    the product of the face with a (c-1)-simplex.  ``face`` names the
+    face's vertices and the result is validated in full as a
+    ``SimplePolytope``.
     """
+    if p.dim < 2:
+        raise ValueError("face truncation needs dimension >= 2")
+    target = face(p, defining_facets)
+    if target.codim < 2:
+        raise ValueError("face truncation needs codimension >= 2")
     incidence = _Incidence(p)
-    incidence.cut(defining_facets)
+    incidence.cut(target.defining_facets, target.vertex_set)
     return incidence.polytope()
 
 
@@ -220,101 +231,67 @@ def _replacements(
     """The c vertices that replace ``vertex`` when the face ``defining`` is cut by facet g.
 
     ``vertex`` is a sorted facet tuple and g exceeds every facet in it, so the
-    replacements are sorted tuples too.
+    replacements are sorted tuples too; they drop the defining facets in
+    ``vertex``'s order.
     """
-    return [vertex[:i] + vertex[i + 1 :] + (g,) for i in map(vertex.index, defining)]
+    return [vertex[:i] + vertex[i + 1 :] + (g,) for i, f in enumerate(vertex) if f in defining]
 
 
 class _Incidence:
     """Mutable vertex-facet incidence of a simple polytope, for cut sequences.
 
-    Each vertex (a sorted facet tuple) gets an integer id when it is added:
-    ``_ids`` maps tuple -> id, ``_tuple_of`` id -> tuple, and ``by_facet``
-    indexes the ids, so a vertex tuple is hashed once when added and once
-    when removed, not once per facet.  ``vertices`` is the live key view of
-    ``_ids``.  Ids are never reused: a removed vertex keeps its slot in
-    ``_tuple_of`` and leaves ``_ids`` and ``by_facet``.  ``cut`` is the
-    only truncation code in this module: it edits only the vertices of the
-    cut face, so a sequence of cuts costs time in the number of vertices it
-    changes rather than in the size of the polytope.  ``polytope()``
-    returns the result as a ``SimplePolytope``, whose validator is the one
-    full check of every cut made.
+    ``vertices`` is the set of vertex tuples.  ``cut`` is the only
+    truncation code in this module: each caller hands it the vertices of the
+    face it cuts, so a cut edits only those and costs time in the number of
+    vertices it changes rather than in the size of the polytope.
+    ``polytope()`` returns the result as a ``SimplePolytope``, whose
+    validator is the one full check of every cut made.
     """
 
     def __init__(self, p: SimplePolytope):
         self.dim = p.dim
         self.facet_count = p.facet_count
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._tuple_of: list[tuple[int, ...]] = []
-        self.vertices = self._ids.keys()
-        self.by_facet: list[set[int]] = [set() for _ in range(p.facet_count)]
-        self._add(p.vertices)
+        self.vertices = set(p.vertices)
 
-    def _add(self, vertices: Sequence[tuple[int, ...]]) -> None:
-        """Give each vertex the next id; one equal to a present vertex or to another raises."""
-        start, size = len(self._tuple_of), len(self._ids)
-        self._tuple_of += vertices
-        self._ids.update(zip(vertices, itertools.count(start)))
-        if len(self._ids) != size + len(vertices):
-            raise ValueError("duplicate vertex")
-        for i, vt in enumerate(vertices, start):
-            for f in vt:
-                self.by_facet[f].add(i)
-
-    def _remove(self, ids: Iterable[int]) -> list[tuple[int, ...]]:
-        """Remove the vertices with these ids and return their tuples."""
-        removed = []
-        for i in ids:
-            vt = self._tuple_of[i]
-            del self._ids[vt]
-            for f in vt:
-                self.by_facet[f].remove(i)
-            removed.append(vt)
-        return removed
-
-    def cut(self, defining_facets: Iterable[int]) -> list[tuple[int, ...]]:
-        """Truncate the face cut out by ``defining_facets``; see ``cut_face``.
+    def cut(
+        self, defining: frozenset[int], on_face: Sequence[tuple[int, ...]]
+    ) -> list[tuple[int, ...]]:
+        """Truncate the face ``defining`` whose vertices are ``on_face``; see ``cut_face``.
 
         The new facet gets index ``facet_count``, and the cut returns the
-        vertices it added.  It checks only what the incidence would hide from
-        ``SimplePolytope``'s validator: the new vertices are distinct from
-        each other and from every remaining vertex (the vertex set would
-        swallow a duplicate), and a face that is empty because one of its
-        facets has lost every vertex names that fault rather than the empty
-        face.  The rest is validated once, when ``polytope()`` builds the
-        result.  A cut that raises leaves the incidence unusable.
+        vertices it added.  It checks only what the vertex set would hide
+        from ``SimplePolytope``'s validator: the new vertices are distinct
+        from each other and from every remaining vertex.  The caller names
+        the face and its vertices; a wrong name is found once, when
+        ``polytope()`` builds the result.  A cut that raises leaves the
+        incidence unusable.
         """
-        if self.dim < 2:
-            raise ValueError("face truncation needs dimension >= 2")
-        defining = _defining_facets(defining_facets, self.facet_count)
-        on_face = set.intersection(*sorted((self.by_facet[f] for f in defining), key=len))
-        if not on_face:
-            if not all(self.by_facet[f] for f in defining):
-                raise ValueError("facet without any vertex")
-            raise ValueError("the given facets have empty intersection")
-        if len(defining) < 2:
-            raise ValueError("face truncation needs codimension >= 2")
         g = self.facet_count
         self.facet_count += 1
-        self.by_facet.append(set())
-        added = [w for vt in self._remove(on_face) for w in _replacements(vt, defining, g)]
-        self._add(added)
+        self.vertices.difference_update(on_face)
+        added = [w for vt in on_face for w in _replacements(vt, defining, g)]
+        size = len(self.vertices)
+        self.vertices.update(added)
+        if len(self.vertices) != size + len(added):
+            raise ValueError("duplicate vertex")
         return added
 
     def modify(self, vertex: tuple[int, ...], k: int, side: int) -> list[tuple[int, ...]]:
         """One B_k step: cut ``vertex``, then the k-face (side 0) or its complement (side 1).
 
-        Both faces lie on the vertex cut's facet g.  In canonical order the
-        fresh vertex that drops f_i from the sorted vertex (f_1 < ... < f_n)
-        precedes the one that drops f_(i-1): where they first differ it has
-        f_(i-1), the other f_i.  So the k-face spanned by the first k+1 drops
-        f_n, ..., f_(n-k) and is vertex[:n-k-1] + (g,), and the face of the
-        other n-k-1 is vertex[n-k-1:] + (g,).  Returns what both cuts added.
+        Both faces lie on the vertex cut's facet g, so their vertices are
+        among that cut's own output.  In canonical order the fresh vertex
+        that drops f_i from the sorted vertex (f_1 < ... < f_n) precedes the
+        one that drops f_(i-1): where they first differ it has f_(i-1), the
+        other f_i.  So the k-face spanned by the first k+1 drops f_n, ...,
+        f_(n-k) and is vertex[:n-k-1] + (g,), and the face of the other
+        n-k-1 is vertex[n-k-1:] + (g,).  Returns what both cuts added.
         """
         g = self.facet_count
-        added = self.cut(vertex)
+        added = self.cut(frozenset(vertex), (vertex,))
         split = len(vertex) - k - 1
-        return added + self.cut((vertex[:split] if side == 0 else vertex[split:]) + (g,))
+        defining = frozenset((vertex[:split] if side == 0 else vertex[split:]) + (g,))
+        return added + self.cut(defining, [w for w in added if defining.issubset(w)])
 
     def polytope(self) -> SimplePolytope:
         return SimplePolytope(self.dim, self.facet_count, self.vertices)
@@ -667,7 +644,7 @@ def check_plan_size(plan: "ModificationPlan") -> None:
     n = 20,000.  Without the n bound a zero-count n = 2,000 plan passes the
     vertex limit (7,996 vertices), and the ridges its validation counts are
     V * n = 1.6e7 tuples of n-1 facets; at n = 100 and the vertex limit that
-    count is 9.9e5 tuples, and the whole ``apply_plan`` took 3.3-3.9 s.
+    count is 9.9e5 tuples, and the whole ``apply_plan`` took 3.0-3.6 s.
     """
     n = plan.n
     if n > _APPLY_PLAN_MAX_N:
@@ -696,14 +673,16 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     cuts are local edits of one ``_Incidence``; the one ``SimplePolytope``
     built at the end validates them all.  The work is linear in the final
     vertex count V, with a factor of about n^2 for that validation's ridges
-    (tuples of n-1 facets, n per vertex); the incidence hashes each new
-    vertex tuple once.  ``check_plan_size`` refuses plans past n = 100 or
-    past 10,000 vertices before any cut.  At the vertex limit an n = 3 plan
-    (2,498 modifications) took 0.08-0.12 s and 25 MiB peak RSS, and an
-    n = 32 plan (159 modifications with k = n-2) took 0.54-0.65 s and
-    91 MiB; larger n costs more per vertex: 1.6-1.9 s and 243 MiB at
-    n = 64, and 3.3-3.9 s and 507 MiB at n = 100, the worst case, about
-    three quarters of it the ridge count (Python 3.11, shared 2-vCPU host).
+    (tuples of n-1 facets, n per vertex); each cut is handed its face's
+    vertices, the vertex cut's by the heap and the face cut's by the vertex
+    cut, so no cut searches the incidence.  ``check_plan_size`` refuses
+    plans past n = 100 or past 10,000 vertices before any cut.  At the
+    vertex limit an n = 3 plan (2,498 modifications) took 0.08-0.09 s and
+    20 MiB peak RSS, and an n = 32 plan (159 modifications with k = n-2)
+    took 0.48-0.70 s and 74 MiB; larger n costs more per vertex: 1.7-1.8 s
+    and 209 MiB at n = 64, and 3.0-3.6 s and 457 MiB at n = 100, the worst
+    case, about three quarters of it the ridge count (Python 3.11, shared
+    2-vCPU host).
     """
     check_plan_size(plan)
     incidence = _Incidence(plan_base(plan.n))

@@ -57,6 +57,25 @@ def test_constant_refuses_negative_bounds():
             make((2, -1))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: poly((2.0,), {}), "variable bounds must be integers"),
+        (lambda: TruncatedPoly.constant((1.5,), 1), "variable bounds must be integers"),
+        (lambda: TruncatedPoly.one((True,)), "variable bounds must be integers"),
+        (lambda: poly((2,), {(1,): 2.5}), "exponents and coefficients must be integers"),
+        (lambda: poly((2,), {(1.0,): 2}), "exponents and coefficients must be integers"),
+        (lambda: poly((2,), {(True,): 2}), "exponents and coefficients must be integers"),
+        (lambda: TruncatedPoly.linear_power((2,), (True,), 2), "degrees must be integers"),
+        (lambda: TruncatedPoly.linear_power((2,), (1.5,), 2), "degrees must be integers"),
+    ],
+)
+def test_ring_entry_points_refuse_non_integers(make, message):
+    # no silent truncation: int() would store 2.5 as 2 and read True as 1
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_mul_examples():
     u = u_poly(1)
     assert (1 + u) * (1 - u) == 1
@@ -203,6 +222,14 @@ def test_projbundlespec_validation():
         ProjBundleSpec((1,), ((1, 2),))  # degree tuple too long
     with pytest.raises(ValueError):
         ProjBundleSpec((-1,), ((1,), (0,)))
+    # no truncation: int() would read a = 2.5 as 2 and give a = 2's Milnor number, 12
+    for make in (
+        lambda: ProjBundleSpec((1.9,), ((1,), (1.7,))),
+        lambda: ProjBundleSpec((1,), ((1,), (True,))),
+        lambda: adjustable_base_spec(5, 2.5),
+    ):
+        with pytest.raises(ValueError, match="base dimensions and summand degrees must be"):
+            make()
     spec = dkn_spec(5, 2)
     assert spec.rank == 4 and spec.fiber_dim == 3 and spec.total_dim == 5
 

@@ -61,6 +61,10 @@ def test_represent_validation():
         represent(5, [-3, 5])
     with pytest.raises(ValueError):
         represent(5, [4, -6])  # gcd 2
+    # int() would read [3.5, 5] as (3, 5), over which 7 is not representable
+    for x, basis in ((7, [3.5, 5]), (7, [3, True]), (8.0, [3, 5]), (True, [1])):
+        with pytest.raises(ValueError, match="target and basis must be integers"):
+            represent(x, basis)
 
 
 def test_represent_exactness_at_the_bound():

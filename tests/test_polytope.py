@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -170,6 +171,19 @@ def test_face_lookup():
         face(cube(3), [0, 1])  # opposite facets of the square factor
 
 
+@pytest.mark.parametrize("facets", [[0.9, 1.2], [0, 1.0], [True, 2], ["0", "1"]])
+def test_face_rule_refuses_non_integer_facets(facets):
+    # no coercion: int() would read [0.9, 1.2] as facets {0, 1} and [True, 2] as {1, 2}
+    for route in (face, cut_face):
+        with pytest.raises(ValueError, match="facet indices must be integers"):
+            route(simplex(3), facets)
+
+
+def test_vertex_that_is_not_iterable_is_refused():
+    with pytest.raises(ValueError, match="each vertex must be an iterable of facet indices"):
+        SimplePolytope(2, 3, [5, 6])
+
+
 # ---------------------------------------------------------------- truncations
 
 
@@ -188,6 +202,10 @@ def test_cut_vertex_bad_index():
         cut_vertex(simplex(3), 9)
     with pytest.raises(ValueError):
         cut_vertex(simplex(1), 0)
+    # True is not read as vertex 1, nor 1.0 as a tuple index
+    for index in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="vertex index must be an integer"):
+            cut_vertex(simplex(3), index)
 
 
 def test_cut_face_figure_counts():
@@ -537,12 +555,14 @@ def test_modify_cuts_the_named_face_on_each_side():
                         added = incidence.modify(vertex, k, side)
                         assert incidence.polytope() == cut_face(q, expected), (n, vid, k, side)
                         # what modify returns is what its two cuts return
+                        # (the face's vertices in the order the first cut returned them)
                         replay = polytope._Incidence(base)
                         before = set(replay.vertices)
-                        first_cut = replay.cut(vertex)
+                        first_cut = replay.cut(frozenset(vertex), (vertex,))
                         assert set(first_cut) == replay.vertices - before
                         before = set(replay.vertices)
-                        second_cut = replay.cut(tuple(expected))
+                        on_face = [w for w in first_cut if expected.issubset(w)]
+                        second_cut = replay.cut(frozenset(expected), on_face)
                         assert set(second_cut) == replay.vertices - before
                         assert added == first_cut + second_cut, (n, vid, k, side)
 
@@ -665,25 +685,6 @@ def test_apply_plan_matches_rebuild_per_cut_replay():
             assert to_dict(apply_plan(plan)) == to_dict(replay_apply_plan(plan)), (n, counts)
 
 
-def test_incidence_index_tracks_live_vertices():
-    # after every B_k step, each by_facet[f] resolves to exactly the live
-    # vertices on f, and no id of a removed vertex is left anywhere
-    rng = random.Random(20)
-    for n in range(3, 8):
-        incidence = polytope._Incidence(plan_base(n))
-        for _ in range(12):
-            vertex = rng.choice(sorted(incidence.vertices))
-            incidence.modify(vertex, rng.randrange(n - 1), rng.randrange(2))
-            live = set(incidence._ids.values())
-            assert all(incidence._tuple_of[i] == v for v, i in incidence._ids.items())
-            assert len(incidence.by_facet) == incidence.facet_count
-            for f, ids in enumerate(incidence.by_facet):
-                assert ids <= live, (n, f)
-                on_f = {incidence._tuple_of[i] for i in ids}
-                assert on_f == {v for v in incidence.vertices if f in v}, (n, f)
-        incidence.polytope()  # and the cuts still validate
-
-
 def _duplicate(step):
     return lambda v, d, g: step(v, d, g) + step(v, d, g)[:1]
 
@@ -724,13 +725,14 @@ PUBLIC_CUT_PATHS = [
 def test_each_cut_validates_what_it_changed(monkeypatch, tmp_path, capsys, broken, message):
     monkeypatch.setattr(polytope, "_replacements", broken(polytope._replacements))
     incidence = polytope._Incidence(simplex(3))
+    vertex = (0, 1, 2)
     if message == "duplicate vertex":
         # the vertex set would swallow a duplicate, so the cut itself raises
         with pytest.raises(ValueError, match=message):
-            incidence.cut((0, 1, 2))
+            incidence.cut(frozenset(vertex), (vertex,))
     else:
         # everything else is left to the one validator, SimplePolytope's
-        incidence.cut((0, 1, 2))
+        incidence.cut(frozenset(vertex), (vertex,))
         with pytest.raises(ValueError, match=message):
             incidence.polytope()
     for path in PUBLIC_CUT_PATHS:
@@ -744,11 +746,42 @@ def test_each_cut_validates_what_it_changed(monkeypatch, tmp_path, capsys, broke
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def _faces(p):
+    """Every face of codimension >= 2, as (defining facets, its vertices)."""
+    defining = {
+        frozenset(c)
+        for v in p.vertices
+        for r in range(2, p.dim + 1)
+        for c in itertools.combinations(v, r)
+    }
+    return [(d, [v for v in p.vertices if d.issubset(v)]) for d in sorted(defining, key=sorted)]
+
+
+def test_cut_missing_a_face_vertex_fails_validation():
+    # the caller names the face's vertices; a hand-off that misses one leaves
+    # that vertex uncut, and the one validator sees its ridges
+    tried = 0
+    for p in (simplex(3), plan_base(5), plan_base(6)):
+        for defining, on_face in _faces(p):
+            for missing in range(len(on_face)):
+                incidence = polytope._Incidence(p)
+                incidence.cut(defining, on_face[:missing] + on_face[missing + 1 :])
+                if len(on_face) == 1:
+                    # a vertex cut handed nothing leaves the new facet empty
+                    with pytest.raises(ValueError, match="facet without any vertex"):
+                        incidence.polytope()
+                else:
+                    with pytest.raises(ValueError, match="ridge contained in 1 vertices"):
+                        incidence.polytope()
+                tried += 1
+    assert tried == 1572
+
+
 @pytest.mark.parametrize("n, budget", [(3, 5.0), (32, 10.0), (100, 14.0)])
 def test_apply_plan_at_vertex_limit_within_stated_bound(n, budget):
     # n = 3 makes the most cuts per vertex; n = 32 with k = n-2 was the
     # slowest plan measured at the limit among n <= 32; n = 100 is the worst
-    # case check_plan_size allows (3.8-5.1 s and 587 MiB peak RSS, Python
+    # case check_plan_size allows (3.0-3.6 s and 457 MiB peak RSS, Python
     # 3.11, shared 2-vCPU host; the budget leaves over 2x for host drift)
     limit = polytope._APPLY_PLAN_VERTEX_LIMIT
     base = plan_vertex_count(n, [0] * (n - 1))
