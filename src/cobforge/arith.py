@@ -9,6 +9,14 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
+_INT_ONLY = frozenset((int,))
+
+
+def _require_ints(values: Iterable, message: str) -> None:
+    """``ValueError(message)`` unless every value's type is exactly ``int`` (a ``bool`` is not)."""
+    if not _INT_ONLY.issuperset(map(type, values)):
+        raise ValueError(message)
+
 
 def is_prime(p: int) -> bool:
     """Trial-division primality test; inputs in this package stay small."""
@@ -24,6 +32,7 @@ def binomial(n: int, k: int) -> int:
 
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     """Base-p digits of n, least significant first; empty for zero."""
+    _require_ints((n, p), "base-p expansion requires integers")
     if n < 0:
         raise ValueError("base-p expansion requires n >= 0")
     if not is_prime(p):
@@ -40,7 +49,7 @@ def binomial_mod_p(n: int, m: int, p: int) -> int:
 
     By Lucas' theorem the product of the digit-wise binomials
     C(n_i, m_i) mod p equals C(n, m) mod p.  ``base_p_digits`` refuses a
-    negative n or m and a p that is not prime.
+    non-``int``, a negative n or m and a p that is not prime.
     """
     nd = base_p_digits(n, p)
     md = base_p_digits(m, p)
@@ -77,6 +86,7 @@ def prime_power_check(m: int) -> Optional[tuple[int, int]]:
 
     Trial division up to sqrt(m); the dimensions fed to this stay small.
     """
+    _require_ints((m,), "prime_power_check requires an integer")
     if m < 2:
         raise ValueError("prime_power_check requires m >= 2")
     p = _smallest_prime_factor(m)

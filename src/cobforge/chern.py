@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
+from .arith import _require_ints
+
 Monomial = tuple[int, ...]
 
 
@@ -94,11 +96,16 @@ def _convolve(x: list[int], y: list[int]) -> list[int]:
 def _checked_bounds(bounds: Iterable[int]) -> tuple[int, ...]:
     """``bounds`` as a tuple; ``ValueError`` unless each is an ``int`` >= 0."""
     bounds = tuple(bounds)
-    if not set(map(type, bounds)) <= {int}:
-        raise ValueError("variable bounds must be integers")
+    _require_ints(bounds, "variable bounds must be integers")
     if any(m < 0 for m in bounds):
         raise ValueError("variable bounds must be nonnegative")
     return bounds
+
+
+def _check_exponent(exponent: int) -> None:
+    _require_ints((exponent,), "exponent must be a nonnegative integer")
+    if exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
 
 
 class TruncatedPoly:
@@ -119,8 +126,7 @@ class TruncatedPoly:
         dense = [0] * math.prod(m + 1 for m in self.bounds)
         for exps, c in (coeffs or {}).items():
             exps = tuple(exps)
-            if not set(map(type, exps)) <= {int} or type(c) is not int:
-                raise ValueError("exponents and coefficients must be integers")
+            _require_ints((*exps, c), "exponents and coefficients must be integers")
             if len(exps) != len(self.bounds):
                 raise ValueError("exponent tuple does not match variable count")
             if any(e < 0 for e in exps):
@@ -139,11 +145,13 @@ class TruncatedPoly:
     @classmethod
     def constant(cls, bounds: Iterable[int], c: int) -> "TruncatedPoly":
         bounds = _checked_bounds(bounds)
-        return cls._of(bounds, [int(c)] + [0] * (math.prod(m + 1 for m in bounds) - 1))
+        _require_ints((c,), "coefficients must be integers")
+        return cls._of(bounds, [c] + [0] * (math.prod(m + 1 for m in bounds) - 1))
 
     @classmethod
     def one(cls, bounds: Iterable[int]) -> "TruncatedPoly":
-        return cls.constant(bounds, 1)
+        bounds = _checked_bounds(bounds)
+        return cls._of(bounds, [1] + [0] * (math.prod(m + 1 for m in bounds) - 1))
 
     @classmethod
     def variable(cls, bounds: Iterable[int], index: int) -> "TruncatedPoly":
@@ -169,12 +177,10 @@ class TruncatedPoly:
         power = cls.one(bounds)
         bounds, dense = power.bounds, power.dense
         degrees = tuple(degrees)
-        if not set(map(type, degrees)) <= {int}:
-            raise ValueError("degrees must be integers")
+        _require_ints(degrees, "degrees must be integers")
         if len(degrees) != len(bounds):
             raise ValueError("degree tuple does not match variable count")
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _check_exponent(exponent)
         if not bounds:
             return power
         width = bounds[-1] + 1
@@ -208,12 +214,12 @@ class TruncatedPoly:
                 raise ValueError("mismatched variable bounds")
             return other
         if isinstance(other, int):
-            return TruncatedPoly.constant(self.bounds, other)
+            return TruncatedPoly.constant(self.bounds, int(other))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = TruncatedPoly.constant(self.bounds, other)
+            other = TruncatedPoly.constant(self.bounds, int(other))
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         return self.bounds == other.bounds and self.dense == other.dense
@@ -258,8 +264,7 @@ class TruncatedPoly:
     def __pow__(self, exponent: int) -> "TruncatedPoly":
         """Repeated squaring: a square per binary digit of the exponent and a
         product per set bit, so O(log e) products instead of e."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _check_exponent(exponent)
         result, square = None, self
         while exponent:
             if exponent & 1:
@@ -326,8 +331,7 @@ class ProjBundleSpec:
         object.__setattr__(self, "base_dims", tuple(self.base_dims))
         object.__setattr__(self, "summands", tuple(map(tuple, self.summands)))
         entries = itertools.chain(self.base_dims, *self.summands)
-        if not set(map(type, entries)) <= {int}:
-            raise ValueError("base dimensions and summand degrees must be integers")
+        _require_ints(entries, "base dimensions and summand degrees must be integers")
         if any(m < 0 for m in self.base_dims):
             raise ValueError("base dimensions must be nonnegative")
         if any(len(s) != len(self.base_dims) for s in self.summands):

@@ -138,7 +138,7 @@ def _plan_from_document(doc: dict) -> planner.ModificationPlan:
     counts = _plan_field(doc, "counts")
     if not isinstance(counts, list):
         raise ValueError("plan document: counts must be a list of integers")
-    # ModificationPlan refuses an n or a count that is not an integer.
+    # ModificationPlan refuses any field that is not an integer.
     return planner.ModificationPlan(
         n=n,
         a=_milnor_value(doc, "a"),

@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import gcd_list
+from .arith import _require_ints, gcd_list
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ def represent(x: int, basis) -> Representation:
     residues, then this O(m) lift, whatever the size of s.
     """
     vals = tuple(basis)
-    if not set(map(type, (x, *vals))) <= {int}:
-        raise ValueError("target and basis must be integers")
+    _require_ints((x, *vals), "target and basis must be integers")
     if not vals:
         raise ValueError("basis must be nonempty")
     if vals[0] <= 0:

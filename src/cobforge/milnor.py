@@ -31,10 +31,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+from .arith import _require_ints
 from .arith import base_p_digits, binomial, binomial_mod_p, gcd_list, is_prime, prime_power_check
 
 
 def _check_range(n: int, k: int, k_min: int = 0) -> None:
+    _require_ints((n, k), "n and k must be integers")
     if n < 2:
         raise ValueError("dimension n must be >= 2")
     if not k_min <= k <= n - 2:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chern, frobenius, milnor
-from .arith import prime_power_check
+from .arith import _require_ints, prime_power_check
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class GeneratorVerdict:
 
 def milnor_novikov_check(n: int, s: int) -> GeneratorVerdict:
     """Decide whether Milnor number s qualifies as a generator in dimension n."""
+    _require_ints((n, s), "n and s must be integers")
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     pp = prime_power_check(n + 1)
@@ -60,8 +61,8 @@ class ModificationPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
-        if not all(type(x) is int for x in (self.n, self.a, *self.counts)):
-            raise ValueError("n, a and every count must be integers")
+        fields = (self.n, self.a, self.base_milnor, *self.counts, self.predicted_milnor)
+        _require_ints(fields, "n, a, base_milnor, counts and predicted_milnor must be integers")
         if self.a < 1:
             raise ValueError("the base twist a must be >= 1")
         if self.n < 3:

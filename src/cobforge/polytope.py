@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import milnor
-from .arith import binomial
+from .arith import _require_ints, binomial
 
 if TYPE_CHECKING:  # pragma: no cover
     from .planner import ModificationPlan
@@ -77,15 +77,12 @@ class SimplePolytope:
     __slots__ = ("dim", "facet_count", "vertices")
 
     def __init__(self, dim: int, facet_count: int, vertices: Iterable[Iterable[int]]):
-        if type(dim) is not int or type(facet_count) is not int:
-            raise ValueError("dim and facets must be integers")
+        _require_ints((dim, facet_count), "dim and facets must be integers")
         rows = list(vertices)
         try:
-            facet_types = set(map(type, itertools.chain.from_iterable(rows)))
+            _require_ints(itertools.chain.from_iterable(rows), "facet indices must be integers")
         except TypeError:
             raise ValueError("each vertex must be an iterable of facet indices") from None
-        if not facet_types <= {int}:
-            raise ValueError("facet indices must be integers")
         self.dim, self.facet_count = dim, facet_count
         self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(map(tuple, map(sorted, rows))))
         self._validate()
@@ -152,8 +149,7 @@ class Face:
 def face(p: SimplePolytope, defining_facets: Iterable[int]) -> Face:
     """The face cut out by the given facets; raises if the intersection is empty."""
     facets = tuple(defining_facets)
-    if not set(map(type, facets)) <= {int}:
-        raise ValueError("facet indices must be integers")
+    _require_ints(facets, "facet indices must be integers")
     defining = frozenset(facets)
     if not defining:
         raise ValueError("a face needs at least one defining facet")
@@ -197,8 +193,7 @@ def cut_vertex(p: SimplePolytope, vertex_index: int) -> SimplePolytope:
 
 def _vertex_at(p: SimplePolytope, vertex_index: int) -> tuple[int, ...]:
     """The vertex's stored canonical tuple (its facets in increasing order)."""
-    if type(vertex_index) is not int:
-        raise ValueError("vertex index must be an integer")
+    _require_ints((vertex_index,), "vertex index must be an integer")
     if not 0 <= vertex_index < len(p.vertices):
         raise ValueError(f"vertex index {vertex_index} out of range")
     return p.vertices[vertex_index]
@@ -299,7 +294,8 @@ class _Incidence:
 
 def _check_fvector_work(vertices: int, dim: int) -> None:
     """Refuse an f-vector enumeration of ``vertices`` * 2^``dim`` subsets past the limit."""
-    if vertices << dim > _FVECTOR_WORK_LIMIT:
+    # 2^dim alone is past the limit from its bit length on: no n-bit number is built
+    if dim >= _FVECTOR_WORK_LIMIT.bit_length() or vertices << dim > _FVECTOR_WORK_LIMIT:
         raise ValueError(
             f"f-vector enumeration of {vertices} vertices * 2^{dim} facet "
             f"subsets is past the limit of 2^25 = {_FVECTOR_WORK_LIMIT} subsets"
@@ -615,6 +611,7 @@ def verify_complementary_equiv(p: SimplePolytope, vertex_index: int, k: int) -> 
     (i > s).  Since 1 <= s <= n - 1, the swap carries neither side onto
     itself, so the check fails if both sides cut the same face.
     """
+    _require_ints((k,), "k must be an integer")
     if not 0 <= k <= p.dim - 2:
         raise ValueError(f"k must satisfy 0 <= k <= n-2, got {k}")
     first, last = _complementary_cuts(p, vertex_index, k)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cobforge import L_kn, construct_plan, milnor_novikov_check, s_dkn, s_kn, witness_k
 from cobforge.arith import (
     base_p_digits,
     binomial,
@@ -11,6 +12,7 @@ from cobforge.arith import (
     is_prime,
     prime_power_check,
 )
+from cobforge.polytope import simplex, verify_complementary_equiv
 
 TEST_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -180,3 +182,32 @@ def test_is_prime_small_values():
     primes_below_60 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
     for n in range(-3, 60):
         assert is_prime(n) == (n in primes_below_60)
+
+
+# Without the integer rule the first seven answer as if given an int and the
+# rest raise TypeError.
+NON_INTEGER_CALLS = [
+    (s_kn, (14, True)),
+    (s_dkn, (14, True)),
+    (binomial_mod_p, (5, True, 3)),
+    (prime_power_check, (9.0,)),
+    (milnor_novikov_check, (14, True)),
+    (milnor_novikov_check, (14.0, 1)),
+    (verify_complementary_equiv, (simplex(4), 0, True)),
+    (s_dkn, (14.0, 2)),
+    (L_kn, (6, 2.0)),
+    (witness_k, (14, 5.0)),
+    (witness_k, (14.0, 5)),
+    (construct_plan, (14.0,)),
+    (binomial_mod_p, (5, 2, 3.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    NON_INTEGER_CALLS,
+    ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args in NON_INTEGER_CALLS],
+)
+def test_top_level_api_refuses_non_integers(function, args):
+    with pytest.raises(ValueError, match="integer"):
+        function(*args)

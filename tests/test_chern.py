@@ -68,6 +68,13 @@ def test_constant_refuses_negative_bounds():
         (lambda: poly((2,), {(True,): 2}), "exponents and coefficients must be integers"),
         (lambda: TruncatedPoly.linear_power((2,), (True,), 2), "degrees must be integers"),
         (lambda: TruncatedPoly.linear_power((2,), (1.5,), 2), "degrees must be integers"),
+        (lambda: TruncatedPoly.constant((2,), 2.7), "coefficients must be integers"),
+        (lambda: TruncatedPoly.constant((2,), True), "coefficients must be integers"),
+        (
+            lambda: TruncatedPoly.linear_power((2,), (1,), True),
+            "exponent must be a nonnegative integer",
+        ),
+        (lambda: TruncatedPoly.one((2,)) ** True, "exponent must be a nonnegative integer"),
     ],
 )
 def test_ring_entry_points_refuse_non_integers(make, message):

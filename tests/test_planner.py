@@ -134,16 +134,20 @@ def test_plan_shape_validation():
 
 
 @pytest.mark.parametrize(
-    "n, counts",
+    "n, counts, base_milnor, predicted_milnor",
     [
-        (4, (0.9, 0, 0)),  # int() makes this (0, 0, 0), which verify_plan accepts
-        (4, (True, 0, 0)),  # int() makes this (1, 0, 0)
-        (4.0, (0, 0, 0)),
+        (4, (0.9, 0, 0), 5, 5),  # int() makes this (0, 0, 0), which verify_plan accepts
+        (4, (True, 0, 0), 5, 5),  # int() makes this (1, 0, 0)
+        (4.0, (0, 0, 0), 5, 5),
+        (4, (0, 0, 0), 5.0, 5),  # equal to 5, so verify_plan would accept it
+        (4, (0, 0, 0), True, 5),
+        (4, (0, 0, 0), 5, 5.0),
+        (4, (0, 0, 0), 5, True),
     ],
 )
-def test_plan_rejects_non_integer_fields(n, counts):
+def test_plan_rejects_non_integer_fields(n, counts, base_milnor, predicted_milnor):
     with pytest.raises(ValueError, match="integers"):
-        ModificationPlan(n, 1, 5, counts, 5)
+        ModificationPlan(n, 1, base_milnor, counts, predicted_milnor)
 
 
 # the base adjustable_base_spec(n, a) needs a >= 1 and n >= 3

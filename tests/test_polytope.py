@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -847,6 +848,18 @@ def test_rigidity_demo_refuses_past_work_limit(monkeypatch):
     monkeypatch.setattr(polytope, "_Incidence", None)  # refused before any cut
     with pytest.raises(ValueError, match="past the limit"):
         rigidity_demo(6)
+
+
+def test_rigidity_demo_refuses_huge_n_without_building_its_work_count():
+    # vertices << n would be a 10^9-bit number (127 MiB), built only to be refused
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="past the limit"):
+            rigidity_demo(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_rigidity_pinned_deltas():
