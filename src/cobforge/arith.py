@@ -20,11 +20,13 @@ def _require_ints(values: Iterable, message: str) -> None:
 
 def is_prime(p: int) -> bool:
     """Trial-division primality test; inputs in this package stay small."""
+    _require_ints((p,), "is_prime requires an integer")
     return p >= 2 and _smallest_prime_factor(p) == p
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) by ``math.comb``; 0 when k < 0 or k > n, ``ValueError`` when n < 0."""
+    _require_ints((n, k), "binomial requires integers")
     if n < 0:
         raise ValueError("binomial requires n >= 0")
     return math.comb(n, k) if k >= 0 else 0
@@ -70,6 +72,7 @@ def gcd_list(values: Iterable[int]) -> int:
     """
     g, seen = 0, False
     for v in values:
+        _require_ints((v,), "gcd_list requires integers")
         seen = True
         g = math.gcd(g, abs(v))
         if g == 1:

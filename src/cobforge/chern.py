@@ -155,7 +155,11 @@ class TruncatedPoly:
 
     @classmethod
     def variable(cls, bounds: Iterable[int], index: int) -> "TruncatedPoly":
+        """x_(index+1); ``ValueError`` unless ``index`` is an ``int`` in range(len(bounds))."""
         bounds = tuple(bounds)
+        _require_ints((index,), "variable index must be an integer")
+        if not 0 <= index < len(bounds):
+            raise ValueError(f"variable index {index} out of range for {len(bounds)} variables")
         exps = tuple(1 if i == index else 0 for i in range(len(bounds)))
         return cls(bounds, {exps: 1})
 
@@ -359,6 +363,7 @@ def dkn_spec(n: int, k: int) -> ProjBundleSpec:
     second blow-up, along a k-dimensional projective subspace of the
     exceptional divisor of a point blow-up.
     """
+    _require_ints((n, k), "n and k must be integers")
     if n < 2 or not 0 <= k <= n - 2:
         raise ValueError("need n >= 2 and 0 <= k <= n-2")
     summands = ((-1,),) + ((1,),) * (n - k - 1)

@@ -76,6 +76,7 @@ def s_dkn(n: int, k: int) -> int:
 
 def point_blowup_delta(n: int) -> int:
     """Change of s_n under a single blow-up at a point: -(n + (-1)^n)."""
+    _require_ints((n,), "dimension n must be an integer")
     if n < 2:
         raise ValueError("dimension n must be >= 2")
     return -(n + (1 if n % 2 == 0 else -1))
@@ -117,6 +118,7 @@ def coprimality_check(n: int) -> tuple[int, bool]:
     construction this feeds only consumes even dimensions; ``s_kn_row``
     refuses n < 2.
     """
+    _require_ints((n,), "dimension n must be an integer")
     if n % 2:
         raise ValueError("coprimality check applies to even n only")
     g = gcd_list(s_kn_row(n))

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -307,18 +308,31 @@ def f_vector(p: SimplePolytope) -> tuple[int, ...]:
 
     A codimension-c face is a c-subset of facets with a nonempty common
     vertex set, and every such subset occurs inside some vertex's facet set,
-    so enumeration walks the V * 2^n subsets of the V vertices; past 2^25 it
-    raises ``ValueError`` first.  Each codimension is counted from its own
-    set, so only one codimension's faces are held at a time.  At n = 14
-    ``polytope hvec`` took 6.9-7.8 s and 160 MiB peak RSS on an ``apply_plan``
-    polytope with 1,872 vertices (30.7M subsets), and 0.7 s and 29 MiB on
-    the shipped plan's 188 vertices (Python 3.11, shared 2-vCPU host).
+    so codimensions 2..n-2 are counted by enumerating the c-subsets of every
+    vertex, one codimension's set at a time.  The other four entries follow
+    from the rules ``SimplePolytope`` has validated: the V vertices are
+    distinct (f_0 = V), each of a vertex's n edges lies in exactly two
+    vertices (f_1 = V * n / 2), no facet lacks a vertex (f_(n-1) = facet
+    count), and f_n = 1; so n = 2 gives (V, facets, 1), n = 1 gives (V, 1),
+    and n <= 3 enumerates nothing.  That skips 2n + 2 of each vertex's 2^n
+    subsets, most of them at small n and almost none at n = 14, so the
+    V * 2^n bound of the full enumeration still applies: past 2^25 it raises
+    ``ValueError`` first.  At n = 14 ``polytope hvec`` took 6.9-7.8 s and
+    160 MiB peak RSS on an ``apply_plan`` polytope with 1,872 vertices
+    (30.7M subsets), and 0.7 s and 29 MiB on the shipped plan's 188
+    vertices (Python 3.11, shared 2-vCPU host).
     """
-    _check_fvector_work(len(p.vertices), p.dim)
-    return tuple(
-        len(set(itertools.chain.from_iterable(itertools.combinations(v, c) for v in p.vertices)))
-        for c in range(p.dim, -1, -1)
-    )
+    n, verts = p.dim, p.vertices
+    _check_fvector_work(len(verts), n)
+    if n == 1:
+        return (len(verts), 1)
+
+    def faces(codim: int) -> int:
+        per_vertex = map(itertools.combinations, verts, itertools.repeat(codim))
+        return len(set(itertools.chain.from_iterable(per_vertex)))
+
+    edges = () if n == 2 else (len(verts) * n // 2,)
+    return (len(verts), *edges, *map(faces, range(n - 2, 1, -1)), p.facet_count, 1)
 
 
 def h_vector(p: SimplePolytope) -> tuple[int, ...]:
@@ -362,17 +376,18 @@ def _stable_colours(degree: list[int], adj: list[set[int]]) -> list[int]:
 
     Colour refinement (one-dimensional Weisfeiler-Leman) with a splitter
     queue: popping colour s splits every class by the number of neighbours
-    its members have in class s.  Only the touched facets are visited: the
-    part with no neighbour in s keeps the old colour (if the class has no
-    such part, its largest part does, ties going to the smaller count), and
-    every other part gets the next fresh colour, in order of its count.  All
-    parts are queued, except that the largest one is skipped when the old
-    colour was already processed (Hopcroft's rule), so each facet is in
-    O(log m) popped classes and the refinement costs
-    O((m + E) log m) for m facets and E adjacent pairs (Berkholz, Bonsma &
-    Grohe, ESA 2013).  Every choice depends on colours and counts, never on
-    facet indices, so an isomorphism carries the colouring of one polytope
-    onto the colouring of the other.
+    its members have in class s.  Only the touched facets are visited, and
+    those in a singleton class are skipped, since a singleton cannot split.
+    The part with no neighbour in s keeps the old colour (if the class has
+    no such part, its largest part does, ties going to the smaller count),
+    and every other part gets the next fresh colour, in order of its count.
+    All parts are queued, except that the largest one is skipped when the
+    old colour was already processed (Hopcroft's rule), so each facet is in
+    O(log m) popped classes and the refinement costs O((m + E) log m) for m
+    facets and E adjacent pairs (Berkholz, Bonsma & Grohe, ESA 2013).  Every
+    choice depends on colours and counts, never on facet indices, so an
+    isomorphism carries the colouring of one polytope onto the colouring of
+    the other.
     """
     names = {d: c for c, d in enumerate(sorted(set(degree)))}
     colour = [names[d] for d in degree]
@@ -387,7 +402,9 @@ def _stable_colours(degree: list[int], adj: list[set[int]]) -> list[int]:
         counts = Counter(itertools.chain.from_iterable(map(adj.__getitem__, members[s])))
         touched: dict[int, dict[int, list[int]]] = defaultdict(dict)
         for w, k in counts.items():
-            touched[colour[w]].setdefault(k, []).append(w)
+            c = colour[w]
+            if len(members[c]) > 1:  # a singleton class cannot split
+                touched[c].setdefault(k, []).append(w)
         for c in sorted(touched):
             parts = touched[c]
             untouched = len(members[c]) - sum(map(len, parts.values()))
@@ -428,7 +445,8 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     counts), in O((m + E) log m) for m facets and E adjacent facet pairs;
     p and q must have the same colour-class sizes, and facet i may only go
     to a facet of its colour.  The search then places p's facets in a
-    connected order (rarest colour first, then along adjacency), with an
+    connected order (rarest colour first, then along adjacency; each
+    facet's rarity key is built once, before the order is drawn), with an
     explicit stack, so depth is not bounded by the recursion limit.  A
     facet with a placed neighbour u is only tried on the neighbours of u's
     image, and a candidate j for facet i is accepted in O(deg) when every
@@ -460,15 +478,16 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
         by_colour_q[c].append(j)
 
     # Placement order: each facet after the first of its component is
-    # reached from an already placed neighbour, its anchor.
-    def rarity(i: int) -> tuple[int, int, int]:
-        return class_size[colour_p[i]], -len(adj_p[i]), i
-
+    # reached from an already placed neighbour, its anchor.  Facet i's
+    # rarity key is (class size, -degree, i), built once for all facets.
+    rarity = list(
+        zip(map(class_size.__getitem__, colour_p), map(operator.neg, map(len, adj_p)), range(m))
+    )
     order: list[int] = []
     anchor: list[int] = []
     position = [-1] * m
-    for start in sorted(range(m), key=rarity):
-        frontier = [(rarity(start), -1)]
+    for start in sorted(rarity):
+        frontier = [(start, -1)]
         while frontier:
             (_, _, i), a = heapq.heappop(frontier)
             if position[i] >= 0:
@@ -478,7 +497,7 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
             anchor.append(a)
             for u in adj_p[i]:
                 if position[u] < 0:
-                    heapq.heappush(frontier, (rarity(u), i))
+                    heapq.heappush(frontier, (rarity[u], i))
     placed_before = [[u for u in adj_p[i] if position[u] < pos] for pos, i in enumerate(order)]
 
     p_verts = p.vertices

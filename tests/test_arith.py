@@ -12,6 +12,8 @@ from cobforge.arith import (
     is_prime,
     prime_power_check,
 )
+from cobforge.chern import dkn_spec
+from cobforge.milnor import coprimality_check, point_blowup_delta
 from cobforge.polytope import simplex, verify_complementary_equiv
 
 TEST_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -209,5 +211,34 @@ NON_INTEGER_CALLS = [
     ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args in NON_INTEGER_CALLS],
 )
 def test_top_level_api_refuses_non_integers(function, args):
+    with pytest.raises(ValueError, match="integer"):
+        function(*args)
+
+
+# Submodule functions follow the same rule.  Without it is_prime(5.0) is True,
+# point_blowup_delta(14.0) is -15.0, the other float cases raise TypeError and
+# most bool cases answer as if given 1.
+SUBMODULE_NON_INTEGER_CALLS = [
+    (is_prime, (5.0,)),
+    (is_prime, (True,)),
+    (point_blowup_delta, (14.0,)),
+    (point_blowup_delta, (True,)),
+    (coprimality_check, (14.0,)),
+    (coprimality_check, (True,)),
+    (dkn_spec, (14.0, 2)),
+    (dkn_spec, (14, True)),
+    (binomial, (5.0, 2)),
+    (binomial, (5, True)),
+    (gcd_list, ([2.0, 4],)),
+    (gcd_list, ([True, 4],)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    SUBMODULE_NON_INTEGER_CALLS,
+    ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args in SUBMODULE_NON_INTEGER_CALLS],
+)
+def test_submodule_functions_refuse_non_integers(function, args):
     with pytest.raises(ValueError, match="integer"):
         function(*args)

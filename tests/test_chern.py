@@ -75,6 +75,10 @@ def test_constant_refuses_negative_bounds():
             "exponent must be a nonnegative integer",
         ),
         (lambda: TruncatedPoly.one((2,)) ** True, "exponent must be a nonnegative integer"),
+        # without the index rule these build 1, x1 and x2
+        (lambda: TruncatedPoly.variable((2,), 5), "variable index 5 out of range"),
+        (lambda: TruncatedPoly.variable((2,), 0.0), "variable index must be an integer"),
+        (lambda: TruncatedPoly.variable((2, 1), True), "variable index must be an integer"),
     ],
 )
 def test_ring_entry_points_refuse_non_integers(make, message):

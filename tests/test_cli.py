@@ -255,6 +255,21 @@ def test_polytope_hvec(tmp_path):
     assert report["checks"] == [{"name": "dehn_sommerville", "passed": True}]
 
 
+def test_polytope_hvec_fails_dehn_sommerville_on_a_torus(tmp_path, capsys):
+    # the dual of the 7-vertex torus: every ridge lies in two vertices, so it
+    # passes validation, but it bounds no polytope and h = (-1, 10, 4, 1)
+    triangles = [(i, i + 1, i + 3) for i in range(7)] + [(i, i + 2, i + 3) for i in range(7)]
+    vertices = [sorted(f % 7 for f in t) for t in triangles]
+    infile = tmp_path / "torus.json"
+    infile.write_text(json.dumps({"dim": 3, "facets": 7, "vertices": vertices}), encoding="utf-8")
+    out = tmp_path / "hvec.json"
+    assert main(["polytope", "hvec", "--infile", str(infile), "--json", str(out)]) == 1
+    assert "[FAIL] dehn_sommerville" in capsys.readouterr().out
+    report = read_json(out)
+    assert report["outputs"] == {"f_vector": [14, 21, 7, 1], "h_vector": [-1, 10, 4, 1]}
+    assert report["checks"] == [{"name": "dehn_sommerville", "passed": False}]
+
+
 def test_polytope_hvec_enumerates_faces_once(tmp_path, monkeypatch):
     infile = tmp_path / "cube.json"
     write_polytope(infile, polytope.product(polytope.simplex(2), polytope.simplex(1)))

@@ -295,6 +295,28 @@ def test_dehn_sommerville_randomized():
         assert hv[0] == 1
 
 
+def enumerated_f_vector(p):
+    """Every codimension n..0 counted from the vertices' facet subsets."""
+    return tuple(
+        len(set(itertools.chain.from_iterable(itertools.combinations(v, c) for v in p.vertices)))
+        for c in range(p.dim, -1, -1)
+    )
+
+
+def test_f_vector_matches_full_enumeration():
+    # f_vector derives f_0, f_1, f_(n-1) and f_n from the validated rules
+    rng = random.Random(24)
+    polys = seeded_polytopes(41) + [random_polytope(rng) for _ in range(200)]
+    polys += [simplex(n) for n in range(1, 7)]
+    polys.append(cut_vertex(cut_vertex(simplex(2), 0), 0))  # a pentagon
+    polys += [
+        apply_plan(toy_plan(n, [rng.randrange(1, 4) for _ in range(n - 1)])) for n in range(4, 8)
+    ]
+    assert {p.dim for p in polys} == set(range(1, 8))
+    for p in polys:
+        assert f_vector(p) == enumerated_f_vector(p), p
+
+
 # ----------------------------------------------------------------- iso search
 
 
