@@ -49,8 +49,8 @@ from .arith import _require_ints, binomial
 if TYPE_CHECKING:  # pragma: no cover
     from .planner import ModificationPlan
 
-# f-vector enumeration touches every subset of every vertex's facet set;
-# polytopes past this many subsets are refused (see f_vector for the cost).
+# f-vector enumeration walks subsets of every vertex's facet set; polytopes
+# whose V * 2^n subsets are past this many are refused (see f_vector).
 _FVECTOR_WORK_LIMIT = 2**25
 
 # apply_plan's cuts are local edits, so its time grows linearly in the final

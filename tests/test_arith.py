@@ -187,7 +187,10 @@ def test_is_prime_small_values():
 
 
 # Without the integer rule the first seven answer as if given an int and the
-# rest raise TypeError.
+# rest raise TypeError.  The submodule functions at the end follow the same
+# rule; without it is_prime(5.0) is True, point_blowup_delta(14.0) is -15.0,
+# their other float cases raise TypeError and most bool cases answer as if
+# given 1.
 NON_INTEGER_CALLS = [
     (s_kn, (14, True)),
     (s_dkn, (14, True)),
@@ -202,23 +205,6 @@ NON_INTEGER_CALLS = [
     (witness_k, (14.0, 5)),
     (construct_plan, (14.0,)),
     (binomial_mod_p, (5, 2, 3.0)),
-]
-
-
-@pytest.mark.parametrize(
-    "function, args",
-    NON_INTEGER_CALLS,
-    ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args in NON_INTEGER_CALLS],
-)
-def test_top_level_api_refuses_non_integers(function, args):
-    with pytest.raises(ValueError, match="integer"):
-        function(*args)
-
-
-# Submodule functions follow the same rule.  Without it is_prime(5.0) is True,
-# point_blowup_delta(14.0) is -15.0, the other float cases raise TypeError and
-# most bool cases answer as if given 1.
-SUBMODULE_NON_INTEGER_CALLS = [
     (is_prime, (5.0,)),
     (is_prime, (True,)),
     (point_blowup_delta, (14.0,)),
@@ -236,9 +222,9 @@ SUBMODULE_NON_INTEGER_CALLS = [
 
 @pytest.mark.parametrize(
     "function, args",
-    SUBMODULE_NON_INTEGER_CALLS,
-    ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args in SUBMODULE_NON_INTEGER_CALLS],
+    NON_INTEGER_CALLS,
+    ids=[f"{f.__name__}({', '.join(map(repr, args))})" for f, args in NON_INTEGER_CALLS],
 )
-def test_submodule_functions_refuse_non_integers(function, args):
+def test_top_level_api_refuses_non_integers(function, args):
     with pytest.raises(ValueError, match="integer"):
         function(*args)
