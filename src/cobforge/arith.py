@@ -6,6 +6,7 @@ arbitrary-precision, so nothing here ever rounds or overflows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Optional
 
@@ -56,9 +57,7 @@ def binomial_mod_p(n: int, m: int, p: int) -> int:
     nd = base_p_digits(n, p)
     md = base_p_digits(m, p)
     result = 1
-    for i in range(max(len(nd), len(md))):
-        ni = nd[i] if i < len(nd) else 0
-        mi = md[i] if i < len(md) else 0
+    for ni, mi in itertools.zip_longest(nd, md, fillvalue=0):
         result = result * binomial(ni, mi) % p
         if result == 0:
             break

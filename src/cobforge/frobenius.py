@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import _require_ints, gcd_list
+from .arith import _require_ints
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def represent(x: int, basis) -> Representation:
     if vals[0] <= 0:
         raise ValueError("first basis entry must be positive")
     abs_vals = tuple(abs(t) for t in vals)
-    if gcd_list(abs_vals) != 1:
+    if gcd(*abs_vals) != 1:
         raise ValueError("basis gcd must be 1")
 
     active = tuple(i for i, t in enumerate(vals) if t != 0)
@@ -140,11 +140,7 @@ def represent(x: int, basis) -> Representation:
         coeffs[j] -= shift
 
     for i in negatives:
-        a_i = coeffs[i]
-        if a_i > 0:
-            k = -(-a_i // vals[0])
-            coeffs[0] += k * abs_vals[i]
-            coeffs[i] = -a_i + k * vals[0]
-        else:
-            coeffs[i] = -a_i
+        k = max(0, -(-coeffs[i] // vals[0]))
+        coeffs[0] += k * abs_vals[i]
+        coeffs[i] = k * vals[0] - coeffs[i]
     return Representation(target=x, basis=vals, coefficients=tuple(coeffs))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import milnor
-from .arith import _require_ints, binomial
+from .arith import _require_ints
 
 if TYPE_CHECKING:  # pragma: no cover
     from .planner import ModificationPlan
@@ -72,7 +72,8 @@ class SimplePolytope:
     count or facet index before any sort, then validates simplicity,
     distinctness, that no facet is redundant, and that every ridge (an
     (n-1)-subset of some vertex's facets) lies in exactly two vertices, the
-    edge condition of a polytope boundary.
+    edge condition of a polytope boundary, and, at dim 3, Euler's relation
+    2 * facets == vertices + 4.
     """
 
     __slots__ = ("dim", "facet_count", "vertices")
@@ -89,7 +90,10 @@ class SimplePolytope:
         self._validate()
 
     def _validate(self) -> None:
-        """Each rule is one pass over all vertices, in C; the rules run in a fixed order."""
+        """Each rule is one pass over all vertices, in C; the rules run in a fixed order.
+
+        The last, Euler's relation at dim 3 (V - E + F = 2, E = 3V/2), is O(1).
+        """
         dim, ordered = self.dim, self.vertices
         if dim < 1:
             raise ValueError("dimension must be >= 1")
@@ -111,6 +115,8 @@ class SimplePolytope:
         if not set(ridges.values()) <= {2}:
             bad = next(c for c in ridges.values() if c != 2)
             raise ValueError(f"ridge contained in {bad} vertices, expected 2")
+        if dim == 3 and 2 * self.facet_count != len(ordered) + 4:
+            raise ValueError("a 3-polytope needs 2 * facets == vertices + 4 (Euler's relation)")
 
     def vertex_tuples(self) -> list[list[int]]:
         return list(map(list, self.vertices))
@@ -345,13 +351,12 @@ def h_vector(p: SimplePolytope) -> tuple[int, ...]:
 
 
 def h_from_f(fv: tuple[int, ...]) -> tuple[int, ...]:
-    """The h-vector of an f-vector (f_0, ..., f_n): coefficients of sum_j f_j (t-1)^j."""
-    coeffs = [0] * len(fv)
-    for j, fj in enumerate(fv):
-        for i in range(j + 1):
-            sign = 1 if (j - i) % 2 == 0 else -1
-            coeffs[i] += fj * binomial(j, i) * sign
-    return tuple(coeffs)
+    """The h-vector of (f_0, ..., f_n): sum_j f_j (t-1)^j by Horner's rule, h <- h*(t-1) + f_j."""
+    h: list[int] = []
+    for fj in reversed(fv):
+        h = [a - b for a, b in zip([0, *h], [*h, 0])]
+        h[0] += fj
+    return tuple(h)
 
 
 def _facet_graph(p: SimplePolytope) -> tuple[list[list[int]], list[set[int]]]:
@@ -448,10 +453,11 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     connected order (rarest colour first, then along adjacency; each
     facet's rarity key is built once, before the order is drawn), with an
     explicit stack, so depth is not bounded by the recursion limit.  A
-    facet with a placed neighbour u is only tried on the neighbours of u's
-    image, and a candidate j for facet i is accepted in O(deg) when every
-    placed neighbour of i maps into the neighbours of j and both have the
-    same number of placed neighbours.  A vertex whose last facet is placed
+    facet is only tried on the neighbours of its lowest-numbered placed
+    neighbour's image (a root, with none, on its colour class), and a
+    candidate j for facet i is accepted in O(deg) when every placed
+    neighbour of i maps into the neighbours of j and both have the same
+    number of placed neighbours.  A vertex whose last facet is placed
     must map onto a vertex of q; an image changes only when a facet is
     unplaced, which reopens the vertex, so a complete mapping (injective,
     equal vertex counts) needs no final pass, and ``carries_vertices`` is
@@ -473,31 +479,26 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     class_size = Counter(colour_q)
     if Counter(colour_p) != class_size:
         return None
-    by_colour_q: dict[int, list[int]] = defaultdict(list)
-    for j, c in enumerate(colour_q):
-        by_colour_q[c].append(j)
 
     # Placement order: each facet after the first of its component is
-    # reached from an already placed neighbour, its anchor.  Facet i's
-    # rarity key is (class size, -degree, i), built once for all facets.
+    # reached from an already placed neighbour.  Facet i's rarity key is
+    # (class size, -degree, i), built once for all facets.
     rarity = list(
         zip(map(class_size.__getitem__, colour_p), map(operator.neg, map(len, adj_p)), range(m))
     )
     order: list[int] = []
-    anchor: list[int] = []
     position = [-1] * m
     for start in sorted(rarity):
-        frontier = [(start, -1)]
+        frontier = [start]
         while frontier:
-            (_, _, i), a = heapq.heappop(frontier)
+            _, _, i = heapq.heappop(frontier)
             if position[i] >= 0:
                 continue
             position[i] = len(order)
             order.append(i)
-            anchor.append(a)
             for u in adj_p[i]:
                 if position[u] < 0:
-                    heapq.heappush(frontier, (rarity[u], i))
+                    heapq.heappush(frontier, rarity[u])
     placed_before = [[u for u in adj_p[i] if position[u] < pos] for pos, i in enumerate(order)]
 
     p_verts = p.vertices
@@ -535,15 +536,15 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     neighbours_by_colour: dict[int, dict[int, list[int]]] = {}
 
     def candidates(pos: int) -> list[int]:
-        i, a = order[pos], anchor[pos]
-        if a < 0:
-            return by_colour_q[colour_p[i]]
-        j = mapping[a]
+        c, before = colour_p[order[pos]], placed_before[pos]
+        if not before:
+            return [j for j, cj in enumerate(colour_q) if cj == c]
+        j = mapping[min(before)]
         if j not in neighbours_by_colour:
             groups = neighbours_by_colour[j] = defaultdict(list)
             for w in adj_q[j]:
                 groups[colour_q[w]].append(w)
-        return neighbours_by_colour[j].get(colour_p[i], [])
+        return neighbours_by_colour[j].get(c, [])
 
     tries: list[Iterator[int]] = [iter(())] * m
     tries[0] = iter(candidates(0))

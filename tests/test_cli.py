@@ -256,17 +256,23 @@ def test_polytope_hvec(tmp_path):
 
 
 def test_polytope_hvec_fails_dehn_sommerville_on_a_torus(tmp_path, capsys):
-    # the dual of the 7-vertex torus: every ridge lies in two vertices, so it
-    # passes validation, but it bounds no polytope and h = (-1, 10, 4, 1)
+    # the dual of the 7-vertex torus: every ridge lies in two vertices, but
+    # V - E + F = 14 - 21 + 7 = 0, so Euler's relation refuses it at load
     triangles = [(i, i + 1, i + 3) for i in range(7)] + [(i, i + 2, i + 3) for i in range(7)]
     vertices = [sorted(f % 7 for f in t) for t in triangles]
     infile = tmp_path / "torus.json"
     infile.write_text(json.dumps({"dim": 3, "facets": 7, "vertices": vertices}), encoding="utf-8")
     out = tmp_path / "hvec.json"
     assert main(["polytope", "hvec", "--infile", str(infile), "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Euler" in err and err.count("\n") == 1
+    # torus x segment (dim 4) passes validation; only Dehn-Sommerville flags it
+    prism = [v + [s] for v in vertices for s in (7, 8)]
+    infile.write_text(json.dumps({"dim": 4, "facets": 9, "vertices": prism}), encoding="utf-8")
+    assert main(["polytope", "hvec", "--infile", str(infile), "--json", str(out)]) == 1
     assert "[FAIL] dehn_sommerville" in capsys.readouterr().out
     report = read_json(out)
-    assert report["outputs"] == {"f_vector": [14, 21, 7, 1], "h_vector": [-1, 10, 4, 1]}
+    assert report["outputs"] == {"f_vector": [28, 56, 35, 9, 1], "h_vector": [-1, 9, 14, 5, 1]}
     assert report["checks"] == [{"name": "dehn_sommerville", "passed": False}]
 
 

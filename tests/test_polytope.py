@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -83,6 +84,11 @@ BAD_POLYTOPES = [
     ((2, 4, [[0, 1], [1, 2], [2, 0]]), "facet without any vertex"),
     ((2, 3, []), "facet without any vertex"),
     ((2, 3, [[0, 1], [0, 2]]), "ridge contained in 1 vertices, expected 2"),  # open edge figure
+    # the dual of the 7-vertex torus: every ridge in two vertices, but V - E + F = 0
+    (
+        (3, 7, [[i, (i + j) % 7, (i + 3) % 7] for j in (1, 2) for i in range(7)]),
+        "Euler's relation",
+    ),
     # the integer rule comes first, before any sort
     ((3.9, 4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]), "dim and facets must be integers"),
     ((2, 3.0, [[0, 1], [1, 2], [2, 0]]), "dim and facets must be integers"),
@@ -261,6 +267,18 @@ def test_h_vector_pinned():
     assert h_vector(cut_vertex(simplex(3), 0)) == (1, 2, 2, 1)
 
 
+def test_h_from_f_matches_binomial_sum():
+    # h_i = sum_j f_j C(j, i) (-1)^(j-i), the expansion of sum_j f_j (t-1)^j
+    rng = random.Random(25)
+    for _ in range(500):
+        fv = tuple(rng.randint(-(10**9), 10**9) for _ in range(rng.randint(1, 15)))
+        expected = tuple(
+            sum(fj * math.comb(j, i) * (-1) ** (j - i) for j, fj in enumerate(fv))
+            for i in range(len(fv))
+        )
+        assert polytope.h_from_f(fv) == expected, fv
+
+
 def test_f_vector_work_guard(monkeypatch):
     from cobforge import polytope as pt
 
@@ -370,6 +388,18 @@ def carries_vertices(iso, p, q):
     if iso is None:
         return False
     return {tuple(sorted(iso[f] for f in v)) for v in p.vertices} == set(q.vertices)
+
+
+def test_comb_iso_on_relabelled_cubes_within_bound():
+    # the cube's facets are all alike, so only the reverse-adjacency counters
+    # keep the search from backtracking far at larger d
+    rng = random.Random(25)
+    pairs = [(cube(d), relabelled(cube(d), rng)) for d in range(3, 9)]
+    start = time.perf_counter()
+    isos = [comb_iso(p, q) for p, q in pairs]
+    assert time.perf_counter() - start < 1.0
+    for iso, (p, q) in zip(isos, pairs):
+        assert carries_vertices(iso, p, q), p
 
 
 def round_based_labels(p):
