@@ -9,10 +9,17 @@ against the fundamental class reduces to multiplying by the total Segre class
 coefficient on the base.  ``milnor_projectivisation`` uses this to evaluate
 the Milnor number, the power sum of Chern roots in top degree, exactly; it is
 the independent cross-check for every closed form in :mod:`cobforge.milnor`.
+
+Each check runs once, where input arrives: the public entry points
+(``TruncatedPoly``'s constructors and ``linear_power``, ``ProjBundleSpec``,
+``dkn_spec``, ``adjustable_base_spec``) check their arguments, and the
+private kernel ``_linear_power`` runs on checked data, so the oracle route
+makes no integer check on a spec that was checked when it was built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -108,6 +115,36 @@ def _check_exponent(exponent: int) -> None:
         raise ValueError("exponent must be a nonnegative integer")
 
 
+def _linear_power(bounds: tuple[int, ...], degrees: tuple[int, ...], exponent: int) -> list[int]:
+    """The dense list of (1 + sum(degrees[i] * x_i)) ** exponent on checked data.
+
+    The coefficient of x^e is C(N, |e|) * |e|!/prod(e_i!) * prod(d_i^(e_i))
+    for N = exponent, which is 0 once |e| > N.  Along the last variable
+    each entry comes from the one before it, c(e) = c(e - u_r) * (N - |e|
+    + 1) * d_r / e_r, an exact division; the first entry of each row comes
+    the same way from e - u_j, j the last variable with e_j > 0, which
+    row-major order visits earlier.  That is O(L * r) big-integer steps for
+    L coefficients and r variables, where squaring takes O(log N) products
+    of O(L^2) each.
+    """
+    dense = [1] + [0] * (math.prod(m + 1 for m in bounds) - 1)
+    if not bounds:
+        return dense
+    width = bounds[-1] + 1
+    strides = [math.prod(m + 1 for m in bounds[j + 1 :]) for j in range(len(bounds))]
+    for row, prefix in enumerate(_box(bounds[:-1])):
+        i, s = row * width, sum(prefix)
+        j = next((j for j in reversed(range(len(prefix))) if prefix[j]), None)
+        c = 1 if j is None else (
+            dense[i - strides[j]] * (exponent - s + 1) * degrees[j] // prefix[j]
+        )
+        dense[i] = c
+        for t in range(1, width):
+            c = c * (exponent - s - t + 1) * degrees[-1] // t
+            dense[i + t] = c
+    return dense
+
+
 class TruncatedPoly:
     """Integer polynomial in x_1..x_r modulo (x_1^(m_1+1), ..., x_r^(m_r+1)).
 
@@ -169,37 +206,16 @@ class TruncatedPoly:
     ) -> "TruncatedPoly":
         """(1 + sum(degrees[i] * x_i)) ** exponent, by the multinomial theorem.
 
-        The coefficient of x^e is C(N, |e|) * |e|!/prod(e_i!) * prod(d_i^(e_i))
-        for N = exponent, which is 0 once |e| > N.  Along the last variable
-        each entry comes from the one before it, c(e) = c(e - u_r) * (N - |e|
-        + 1) * d_r / e_r, an exact division; the first entry of each row comes
-        the same way from e - u_j, j the last variable with e_j > 0, which
-        row-major order visits earlier.  That is O(L * r) big-integer steps for
-        L coefficients and r variables, where squaring takes O(log N) products
-        of O(L^2) each.
+        Checks the bounds, the degrees and the exponent, then runs the kernel
+        ``_linear_power`` on them.
         """
-        power = cls.one(bounds)
-        bounds, dense = power.bounds, power.dense
+        bounds = _checked_bounds(bounds)
         degrees = tuple(degrees)
         _require_ints(degrees, "degrees must be integers")
         if len(degrees) != len(bounds):
             raise ValueError("degree tuple does not match variable count")
         _check_exponent(exponent)
-        if not bounds:
-            return power
-        width = bounds[-1] + 1
-        strides = [math.prod(m + 1 for m in bounds[j + 1 :]) for j in range(len(bounds))]
-        for row, prefix in enumerate(_box(bounds[:-1])):
-            i, s = row * width, sum(prefix)
-            j = next((j for j in reversed(range(len(prefix))) if prefix[j]), None)
-            c = 1 if j is None else (
-                dense[i - strides[j]] * (exponent - s + 1) * degrees[j] // prefix[j]
-            )
-            dense[i] = c
-            for t in range(1, width):
-                c = c * (exponent - s - t + 1) * degrees[-1] // t
-                dense[i + t] = c
-        return power
+        return cls._of(bounds, _linear_power(bounds, degrees, exponent))
 
     @property
     def coeffs(self) -> dict[Monomial, int]:
@@ -343,6 +359,11 @@ class ProjBundleSpec:
         if self.fiber_dim < 1:
             raise ValueError("projectivisation needs fiber dimension >= 1")
 
+    @functools.cached_property
+    def _grouped(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each distinct summand's degrees with its multiplicity, counted once per spec."""
+        return tuple(Counter(self.summands).items())
+
     @property
     def rank(self) -> int:
         return len(self.summands) + (1 if self.conjugated_trivial else 0)
@@ -376,6 +397,7 @@ def adjustable_base_spec(n: int, a: int) -> ProjBundleSpec:
     An n-dimensional projectivisation whose Milnor number is (n+1)*a, so the
     parameter a makes the Milnor number as large as needed.
     """
+    _require_ints((n, a), "base dimensions and summand degrees must be integers")
     if n < 3:
         raise ValueError("need n >= 3")
     if a < 1:
@@ -388,14 +410,18 @@ def total_chern(spec: ProjBundleSpec) -> TruncatedPoly:
     """Total Chern class of the split bundle, a product of linear factors.
 
     Equal summands are grouped, so each distinct factor is raised to its
-    multiplicity once.  A conjugated trivial summand is an honest trivial
-    line bundle here, so it contributes the factor 1.
+    multiplicity once, by the kernel on ``spec``'s checked fields, and the
+    product starts from the first factor.  A conjugated trivial summand is an
+    honest trivial line bundle here, so it contributes the factor 1.
     """
     bounds = spec.base_dims
-    c = TruncatedPoly.one(bounds)
-    for degrees, mult in Counter(spec.summands).items():
-        c = c * TruncatedPoly.linear_power(bounds, degrees, mult)
-    return c
+    return functools.reduce(
+        mul,
+        (
+            TruncatedPoly._of(bounds, _linear_power(bounds, degrees, mult))
+            for degrees, mult in spec._grouped
+        ),
+    )
 
 
 def integrate_top(omega: TruncatedPoly) -> int:
@@ -439,7 +465,8 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
     conjugated trivial summand; equal summands are grouped by multiplicity.
     The base roots are x_i with multiplicity m_i + 1, so their N-th powers
     vanish exactly when N exceeds every base dimension, which is required
-    here.
+    here.  ``spec``'s fields were checked when it was built, so P is one
+    dense list summed from the kernel ``_linear_power``.
     """
     n = spec.total_dim
     if n < 2:
@@ -449,7 +476,9 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
             "base tangent contribution not implemented: need n > every base dimension"
         )
     bounds = spec.base_dims
-    pairing = TruncatedPoly.constant(bounds, (-1) ** n if spec.conjugated_trivial else 0)
-    for degrees, mult in Counter(spec.summands).items():
-        pairing = pairing + mult * TruncatedPoly.linear_power(bounds, degrees, n)
-    return fiber_integral(pairing, spec)
+    pairing = [0] * math.prod(m + 1 for m in bounds)
+    pairing[0] = (-1) ** n if spec.conjugated_trivial else 0
+    for degrees, mult in spec._grouped:
+        power = _linear_power(bounds, degrees, n)
+        pairing = list(map(add, pairing, map(mul, power, itertools.repeat(mult))))
+    return fiber_integral(TruncatedPoly._of(bounds, pairing), spec)

@@ -20,8 +20,8 @@ where the platform has one, so a reader that closes stdout early ends the
 process by SIGPIPE (return code -SIGPIPE), with nothing on stderr;
 in-process ``main()`` callers keep Python's default.
 The environment variable COBFORGE_MAX_N caps the oracle sweep size of the
-``reproduce`` command: default 100 (1.5-1.7 s end to end with Python 3.11 on
-a 2-vCPU host), at least 2 and at most 150 (about 5 s); any other value,
+``reproduce`` command: default 100 (0.7-0.9 s end to end with Python 3.11 on
+a shared 2-vCPU host), at least 2 and at most 150 (2.4-2.6 s); any other value,
 or one that is not an integer, is refused with exit 1 before any work.
 ``milnor``'s oracle check makes at most three oracle calls, each one O(k^2)
 Segre-class inverse plus O(k) big-integer steps, so n <= 400 checks in
@@ -69,7 +69,7 @@ EQUIV_PRODUCT_RANGE = range(4, 7)
 _MILNOR_MAX_N = 400
 
 # The largest COBFORGE_MAX_N ``reproduce`` accepts: its oracle sweep over every
-# (n, k) with n <= 150 is 11,175 oracle calls, and ``reproduce`` takes about 5 s.
+# (n, k) with n <= 150 is 11,175 oracle calls, and ``reproduce`` takes 2.4-2.6 s.
 _SWEEP_MAX_N = 150
 
 Result = tuple[dict, dict, dict[str, bool]]

@@ -73,7 +73,11 @@ class SimplePolytope:
     distinctness, that no facet is redundant, and that every ridge (an
     (n-1)-subset of some vertex's facets) lies in exactly two vertices, the
     edge condition of a polytope boundary, and, at dim 3, Euler's relation
-    2 * facets == vertices + 4.
+    2 * facets == vertices + 4.  The module's own constructions (``product``
+    and ``_Incidence.polytope``) hand over sorted ``int`` tuples by
+    construction and take the private path ``_canonical``, which skips only
+    the per-index integer check and the per-vertex sort; every polytope, on
+    either path, is validated in full.
     """
 
     __slots__ = ("dim", "facet_count", "vertices")
@@ -88,6 +92,20 @@ class SimplePolytope:
         self.dim, self.facet_count = dim, facet_count
         self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(map(tuple, map(sorted, rows))))
         self._validate()
+
+    @classmethod
+    def _canonical(
+        cls, dim: int, facet_count: int, vertices: Iterable[tuple[int, ...]]
+    ) -> "SimplePolytope":
+        """A polytope from ``int`` dim and facet count and sorted ``int`` vertex tuples.
+
+        The vertex list is sorted and ``_validate`` runs in full.
+        """
+        p = cls.__new__(cls)
+        p.dim, p.facet_count = dim, facet_count
+        p.vertices = tuple(sorted(vertices))
+        p._validate()
+        return p
 
     def _validate(self) -> None:
         """Each rule is one pass over all vertices, in C; the rules run in a fixed order.
@@ -179,8 +197,9 @@ def simplex(n: int) -> SimplePolytope:
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
     """Product polytope: facets are the disjoint union, vertices are pairs."""
     shift = p.facet_count
+    # u is sorted and each shifted facet of w exceeds every facet of u
     verts = [u + tuple(f + shift for f in w) for u in p.vertices for w in q.vertices]
-    return SimplePolytope(p.dim + q.dim, p.facet_count + q.facet_count, verts)
+    return SimplePolytope._canonical(p.dim + q.dim, p.facet_count + q.facet_count, verts)
 
 
 def plan_base(n: int) -> SimplePolytope:
@@ -296,7 +315,8 @@ class _Incidence:
         return added + self.cut(defining, [w for w in added if defining.issubset(w)])
 
     def polytope(self) -> SimplePolytope:
-        return SimplePolytope(self.dim, self.facet_count, self.vertices)
+        """The result, validated in full; its vertices are canonical (see ``_replacements``)."""
+        return SimplePolytope._canonical(self.dim, self.facet_count, self.vertices)
 
 
 def _check_fvector_work(vertices: int, dim: int) -> None:

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from cobforge import chern
 from cobforge.chern import (
     ProjBundleSpec,
     TruncatedPoly,
@@ -15,6 +17,7 @@ from cobforge.chern import (
     poly_inverse,
     total_chern,
 )
+from cobforge.milnor import s_dkn
 
 
 def poly(bounds, terms):
@@ -245,6 +248,13 @@ def test_projbundlespec_validation():
     assert spec.rank == 4 and spec.fiber_dim == 3 and spec.total_dim == 5
 
 
+@pytest.mark.parametrize("n, a", [(5.0, 1), (True, 1), (5, 1.5), (5, True), ("5", 1)])
+def test_adjustable_base_spec_refuses_non_integers(n, a):
+    # without the check (5.0, 1) raised TypeError and (True, 1) "need n >= 3"
+    with pytest.raises(ValueError, match="base dimensions and summand degrees must be integers"):
+        adjustable_base_spec(n, a)
+
+
 def test_total_chern_of_dkn():
     spec = dkn_spec(6, 2)
     u = u_poly(2)
@@ -335,3 +345,58 @@ def test_milnor_adjustable_base_sweep():
     for n in range(4, 13):
         for a in range(1, 6):
             assert milnor_projectivisation(adjustable_base_spec(n, a)) == (n + 1) * a
+
+
+def counted_int_checks(monkeypatch, module):
+    """Count the calls of ``module``'s integer check."""
+    calls = []
+    check = module._require_ints
+
+    def counted(values, message):
+        calls.append(message)
+        check(values, message)
+
+    monkeypatch.setattr(module, "_require_ints", counted)
+    return calls
+
+
+def test_oracle_checks_nothing_a_built_spec_has_checked(monkeypatch):
+    # ProjBundleSpec checks its fields once, when it is built; the oracle
+    # runs its kernels on them without a second check
+    specs = [dkn_spec(20, 9), adjustable_base_spec(6, 7)]
+    calls = counted_int_checks(monkeypatch, chern)
+    assert [milnor_projectivisation(spec) for spec in specs] == [s_dkn(20, 9), 7 * 7]
+    assert calls == []
+    # the public entry points still check
+    TruncatedPoly.linear_power((2,), (1,), 3)
+    assert calls == ["variable bounds must be integers", "degrees must be integers",
+                     "exponent must be a nonnegative integer"]
+
+
+def oracle_by_products(spec):
+    """The oracle assembled from the public ring: the pairing sum_d mult * (1 + d.x)^N
+    plus the conjugate constant, times the inverse of one * prod (1 + d.x)^mult,
+    read at the top monomial."""
+    bounds, n = spec.base_dims, spec.total_dim
+    pairing = TruncatedPoly.constant(bounds, (-1) ** n if spec.conjugated_trivial else 0)
+    total = TruncatedPoly.one(bounds)
+    for degrees, mult in Counter(spec.summands).items():
+        pairing = pairing + mult * TruncatedPoly.linear_power(bounds, degrees, n)
+        total = total * TruncatedPoly.linear_power(bounds, degrees, mult)
+    return integrate_top(pairing * poly_inverse(total))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_oracle_matches_the_public_ring_on_random_bundles(data):
+    bounds = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=2), label="bounds"))
+    degrees = st.tuples(*[st.integers(-3, 3)] * len(bounds))
+    summands = data.draw(st.lists(degrees, min_size=1, max_size=4), label="summands")
+    conjugated = data.draw(st.booleans(), label="conjugated")
+    # fiber dimension >= 1 and total dimension >= 2; the total dimension then
+    # exceeds every base dimension
+    fiber_dim = len(summands) + conjugated - 1
+    assume(fiber_dim >= 1 and sum(bounds) + fiber_dim >= 2)
+    spec = ProjBundleSpec(bounds, summands, conjugated)
+    assert spec.total_dim > max(bounds)
+    assert milnor_projectivisation(spec) == oracle_by_products(spec)

@@ -168,6 +168,33 @@ def test_vertices_are_the_sorted_integer_tuples_to_dict_writes():
     assert backwards == base and hash(backwards) == hash(base)
 
 
+def test_internal_constructions_check_no_integer_twice(monkeypatch):
+    # product and _Incidence build from validated polytopes and hand over
+    # sorted int tuples; only the public constructor checks the integer rule
+    base, segment = plan_base(5), simplex(1)
+    incidence = polytope._Incidence(base)
+    incidence.modify(base.vertices[0], 1, 0)
+    calls = []
+    check = polytope._require_ints
+
+    def counted(values, message):
+        calls.append(message)
+        check(values, message)
+
+    monkeypatch.setattr(polytope, "_require_ints", counted)
+    cut, prism = incidence.polytope(), product(base, segment)
+    assert calls == []
+    # the three simplex factors of the base, each built by the public constructor
+    apply_plan(toy_plan(5, (1, 2, 0, 1)))
+    assert calls == ["dim and facets must be integers", "facet indices must be integers"] * 3
+    monkeypatch.undo()
+    for p in (cut, prism):
+        assert canonical_form(p) and p == SimplePolytope(p.dim, p.facet_count, p.vertices)
+    # the private path still validates in full
+    with pytest.raises(ValueError, match="ridge contained in 1 vertices"):
+        SimplePolytope._canonical(2, 3, [(0, 1), (0, 2)])
+
+
 def test_face_lookup():
     s = simplex(3)
     f = face(s, [0, 1])
