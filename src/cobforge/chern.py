@@ -9,12 +9,18 @@ against the fundamental class reduces to multiplying by the total Segre class
 coefficient on the base.  ``milnor_projectivisation`` uses this to evaluate
 the Milnor number, the power sum of Chern roots in top degree, exactly; it is
 the independent cross-check for every closed form in :mod:`cobforge.milnor`.
+For a split bundle the Segre class is the product of per-summand inverses
+(1 + d.x)^(-m), which the kernel ``_linear_power`` gives directly from a
+negative exponent, so the oracle never forms or inverts the total Chern
+class; ``total_chern`` and ``poly_inverse`` are the check route for it.
 
 Each check runs once, where input arrives: the public entry points
 (``TruncatedPoly``'s constructors and ``linear_power``, ``ProjBundleSpec``,
 ``dkn_spec``, ``adjustable_base_spec``) check their arguments, and the
 private kernel ``_linear_power`` runs on checked data, so the oracle route
-makes no integer check on a spec that was checked when it was built.
+makes no integer check on a spec that was checked when it was built.  The
+two builders check their two integers and build through
+``ProjBundleSpec._of``, which does not re-check the tuples made from them.
 """
 
 from __future__ import annotations
@@ -119,13 +125,16 @@ def _linear_power(bounds: tuple[int, ...], degrees: tuple[int, ...], exponent: i
     """The dense list of (1 + sum(degrees[i] * x_i)) ** exponent on checked data.
 
     The coefficient of x^e is C(N, |e|) * |e|!/prod(e_i!) * prod(d_i^(e_i))
-    for N = exponent, which is 0 once |e| > N.  Along the last variable
-    each entry comes from the one before it, c(e) = c(e - u_r) * (N - |e|
-    + 1) * d_r / e_r, an exact division; the first entry of each row comes
-    the same way from e - u_j, j the last variable with e_j > 0, which
-    row-major order visits earlier.  That is O(L * r) big-integer steps for
-    L coefficients and r variables, where squaring takes O(log N) products
-    of O(L^2) each.
+    for N = exponent, with C(N, s) = N(N-1)...(N-s+1)/s!.  For N >= 0 it is
+    0 once |e| > N; for N < 0 the list is (1 + sum(d_i x_i))^(-N)'s inverse
+    in the truncated ring, since the binomial series multiplies like powers.
+    Along the last variable each entry comes from the one before it, c(e) =
+    c(e - u_r) * (N - |e| + 1) * d_r / e_r, an exact division (C(N, s) is an
+    integer for every integer N); the first entry of each row comes the same
+    way from e - u_j, j the last variable with e_j > 0, which row-major
+    order visits earlier.  That is O(L * r) big-integer steps for L
+    coefficients and r variables, where squaring takes O(log N) products of
+    O(L^2) each, and an inverse O(L^2).
     """
     dense = [1] + [0] * (math.prod(m + 1 for m in bounds) - 1)
     if not bounds:
@@ -359,6 +368,25 @@ class ProjBundleSpec:
         if self.fiber_dim < 1:
             raise ValueError("projectivisation needs fiber dimension >= 1")
 
+    @classmethod
+    def _of(
+        cls,
+        base_dims: tuple[int, ...],
+        summands: tuple[tuple[int, ...], ...],
+        conjugated_trivial: bool,
+    ) -> "ProjBundleSpec":
+        """A spec from fields that meet ``__post_init__``'s rules by construction.
+
+        The builders make their tuples from two checked integers, so the
+        entries are not re-checked one by one; the spec equals, and hashes
+        like, the one the public constructor builds.
+        """
+        spec = cls.__new__(cls)
+        object.__setattr__(spec, "base_dims", base_dims)
+        object.__setattr__(spec, "summands", summands)
+        object.__setattr__(spec, "conjugated_trivial", conjugated_trivial)
+        return spec
+
     @functools.cached_property
     def _grouped(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each distinct summand's degrees with its multiplicity, counted once per spec."""
@@ -388,7 +416,7 @@ def dkn_spec(n: int, k: int) -> ProjBundleSpec:
     if n < 2 or not 0 <= k <= n - 2:
         raise ValueError("need n >= 2 and 0 <= k <= n-2")
     summands = ((-1,),) + ((1,),) * (n - k - 1)
-    return ProjBundleSpec(base_dims=(k,), summands=summands, conjugated_trivial=True)
+    return ProjBundleSpec._of((k,), summands, True)
 
 
 def adjustable_base_spec(n: int, a: int) -> ProjBundleSpec:
@@ -403,7 +431,7 @@ def adjustable_base_spec(n: int, a: int) -> ProjBundleSpec:
     if a < 1:
         raise ValueError("twist parameter a must be positive")
     summands = ((-1, 0), (0, a)) + ((0, 0),) * (n - 3)
-    return ProjBundleSpec(base_dims=(1, 1), summands=summands, conjugated_trivial=False)
+    return ProjBundleSpec._of((1, 1), summands, False)
 
 
 def total_chern(spec: ProjBundleSpec) -> TruncatedPoly:
@@ -439,19 +467,44 @@ def _top_of_product(a: TruncatedPoly, b: TruncatedPoly) -> int:
     return sum(map(mul, a.dense, reversed(b.dense)))
 
 
+def _segre_factors(spec: ProjBundleSpec) -> list[TruncatedPoly]:
+    """(1 + d.x)^(-m) for each distinct summand d of multiplicity m.
+
+    Their product is the total Segre class, the inverse of ``total_chern``;
+    each factor is one kernel call on ``spec``'s checked fields, O(L).
+    """
+    bounds = spec.base_dims
+    return [
+        TruncatedPoly._of(bounds, _linear_power(bounds, degrees, -mult))
+        for degrees, mult in spec._grouped
+    ]
+
+
+def _top_of_factors(factors: Sequence[TruncatedPoly]) -> int:
+    """``integrate_top`` of the product of ``factors`` (at least one).
+
+    Every factor but the last is multiplied out; the result is paired with
+    the last by ``_top_of_product``, so two factors take no product at all.
+    """
+    *rest, last = factors
+    if not rest:
+        return integrate_top(last)
+    return _top_of_product(functools.reduce(mul, rest), last)
+
+
 def fiber_integral(omega: TruncatedPoly, spec: ProjBundleSpec) -> int:
     """Pair sum_d omega_d * v^(N-d) against the fundamental class of P(E).
 
     N is the total dimension, B the base dimension and omega_d the degree-d
     part of omega.  Pushing v^(N-d) forward to the base gives the
     degree-(B-d) part of the total Segre class, so the pairing is the top
-    coefficient of omega times the inverse total Chern class, read off as
-    one dot product.  This holds for every omega: parts of degree above B
-    vanish on the base.
+    coefficient of omega times the Segre class, taken as the product of its
+    per-summand factors (see ``_segre_factors``).  This holds for every
+    omega: parts of degree above B vanish on the base.
     """
     if omega.bounds != spec.base_dims:
         raise ValueError("omega must live on the base ring of the bundle")
-    return _top_of_product(omega, poly_inverse(total_chern(spec)))
+    return _top_of_factors([omega, *_segre_factors(spec)])
 
 
 def milnor_projectivisation(spec: ProjBundleSpec) -> int:
@@ -461,12 +514,19 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
     each summand, -v for the conjugated trivial summand, and the roots of the
     base tangent bundle.  Since (root + v)^N = sum_i C(N, i) root^i v^(N-i)
     is the v-weighting ``fiber_integral`` gives to (1 + root)^N, the power
-    sum is one pairing of P = sum (1 + root)^N, plus (-1)^N for the
-    conjugated trivial summand; equal summands are grouped by multiplicity.
-    The base roots are x_i with multiplicity m_i + 1, so their N-th powers
-    vanish exactly when N exceeds every base dimension, which is required
-    here.  ``spec``'s fields were checked when it was built, so P is one
-    dense list summed from the kernel ``_linear_power``.
+    sum is one pairing of P = c + sum_g m_g (1 + l_g)^N, where c = (-1)^N
+    for the conjugated trivial summand (else 0) and summand group g has
+    degrees l_g and multiplicity m_g.  The base roots are x_i with
+    multiplicity m_i + 1, so their N-th powers vanish exactly when N exceeds
+    every base dimension, which is required here.
+
+    The pairing is taken group by group.  With S_h = (1 + l_h)^(-m_h) the
+    Segre class is prod_h S_h, and (1 + l_g)^N * S_g = (1 + l_g)^(N - m_g),
+    so the pairing is c * top(prod_h S_h) plus, for each g, m_g * top((1 +
+    l_g)^(N - m_g) * prod_(h != g) S_h).  Each factor is one kernel call on
+    ``spec``'s checked fields, and with at most two groups each top is one
+    dot product: O(L) per call, where the inverse of the total Chern class
+    is O(L^2).
     """
     n = spec.total_dim
     if n < 2:
@@ -476,9 +536,9 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
             "base tangent contribution not implemented: need n > every base dimension"
         )
     bounds = spec.base_dims
-    pairing = [0] * math.prod(m + 1 for m in bounds)
-    pairing[0] = (-1) ** n if spec.conjugated_trivial else 0
-    for degrees, mult in spec._grouped:
-        power = _linear_power(bounds, degrees, n)
-        pairing = list(map(add, pairing, map(mul, power, itertools.repeat(mult))))
-    return fiber_integral(TruncatedPoly._of(bounds, pairing), spec)
+    segre = _segre_factors(spec)
+    total = (-1) ** n * _top_of_factors(segre) if spec.conjugated_trivial else 0
+    for g, (degrees, mult) in enumerate(spec._grouped):
+        power = TruncatedPoly._of(bounds, _linear_power(bounds, degrees, n - mult))
+        total += mult * _top_of_factors([power, *segre[:g], *segre[g + 1 :]])
+    return total

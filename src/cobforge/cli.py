@@ -20,13 +20,13 @@ where the platform has one, so a reader that closes stdout early ends the
 process by SIGPIPE (return code -SIGPIPE), with nothing on stderr;
 in-process ``main()`` callers keep Python's default.
 The environment variable COBFORGE_MAX_N caps the oracle sweep size of the
-``reproduce`` command: default 100 (0.7-0.9 s end to end with Python 3.11 on
-a shared 2-vCPU host), at least 2 and at most 150 (2.4-2.6 s); any other value,
-or one that is not an integer, is refused with exit 1 before any work.
-``milnor``'s oracle check makes at most three oracle calls, each one O(k^2)
-Segre-class inverse plus O(k) big-integer steps, so n <= 400 checks in
-under 5 s (about 0.2 s at n = 400, k = 398); ``milnor`` refuses n > 400
-with exit 1.  ``plan``
+``reproduce`` command: default 100 (0.35-0.55 s end to end with Python 3.11
+on a shared 2-vCPU host), at least 2 and at most 150 (0.8-1.4 s); any other
+value, or one that is not an integer, is refused with exit 1 before any work.
+``milnor``'s oracle check makes at most three oracle calls, each O(k)
+big-integer steps (the Segre class is a product of per-summand inverses), so
+n <= 400 checks in under 5 s (about 0.1 s end to end at n = 400, any k);
+``milnor`` refuses n > 400 with exit 1.  ``plan``
 builds and verifies a plan for n <= 400 in under 1 s (n = 398 is tested),
 and ``plan``, ``gcd-check`` and ``witness`` refuse n > 400 the same way,
 through one helper (``_checked_n``).  ``polytope apply-plan`` refuses
@@ -69,7 +69,7 @@ EQUIV_PRODUCT_RANGE = range(4, 7)
 _MILNOR_MAX_N = 400
 
 # The largest COBFORGE_MAX_N ``reproduce`` accepts: its oracle sweep over every
-# (n, k) with n <= 150 is 11,175 oracle calls, and ``reproduce`` takes 2.4-2.6 s.
+# (n, k) with n <= 150 is 11,175 oracle calls, and ``reproduce`` takes 0.8-1.4 s.
 _SWEEP_MAX_N = 150
 
 Result = tuple[dict, dict, dict[str, bool]]
@@ -380,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_milnor,
         help="closed-form Milnor values, oracle-checked (n <= 400, under 5 s)",
         description="Print a closed-form value and check it against the fiber-integration "
-        "oracle: at most three oracle calls, each one O(k^2) Segre-class inverse plus "
-        "O(k) big-integer steps, so n <= 400 checks in under 5 s (about 0.2 s at "
-        "n = 400, k = 398).  Larger n is refused (exit 1).",
+        "oracle: at most three oracle calls, each O(k) big-integer steps, so n <= 400 "
+        "checks in under 5 s (about 0.1 s end to end at n = 400, any k).  Larger n is "
+        "refused (exit 1).",
     )
     p_milnor.add_argument("--n", type=int, required=True)
     p_milnor.add_argument("--k", type=int, required=True)

@@ -188,6 +188,12 @@ def face(p: SimplePolytope, defining_facets: Iterable[int]) -> Face:
 
 def simplex(n: int) -> SimplePolytope:
     """The n-simplex: n+1 facets, each vertex omitting exactly one."""
+    _require_ints((n,), "simplex dimension must be an integer")
+    return _simplex(n)
+
+
+def _simplex(n: int) -> SimplePolytope:
+    """``simplex`` on an ``int`` n, built by the public constructor."""
     if n < 1:
         raise ValueError("simplex dimension must be >= 1")
     verts = [[f for f in range(n + 1) if f != skip] for skip in range(n + 1)]
@@ -204,7 +210,13 @@ def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
 
 def plan_base(n: int) -> SimplePolytope:
     """I x I x (n-2)-simplex, the moment polytope of ``chern.adjustable_base_spec(n, a)``."""
-    return product(product(simplex(1), simplex(1)), simplex(n - 2))
+    _require_ints((n,), "plan dimension must be an integer")
+    return _plan_base(n)
+
+
+def _plan_base(n: int) -> SimplePolytope:
+    """``plan_base`` on an ``int`` n, such as a ``ModificationPlan``'s checked n."""
+    return product(product(_simplex(1), _simplex(1)), _simplex(n - 2))
 
 
 def cut_vertex(p: SimplePolytope, vertex_index: int) -> SimplePolytope:
@@ -722,7 +734,7 @@ def apply_plan(plan: "ModificationPlan") -> SimplePolytope:
     2-vCPU host).
     """
     check_plan_size(plan)
-    incidence = _Incidence(plan_base(plan.n))
+    incidence = _Incidence(_plan_base(plan.n))
     heap = sorted(incidence.vertices)  # a sorted list is a min-heap
     for k, count in enumerate(plan.counts):
         for _ in range(count):

@@ -400,3 +400,61 @@ def test_oracle_matches_the_public_ring_on_random_bundles(data):
     spec = ProjBundleSpec(bounds, summands, conjugated)
     assert spec.total_dim > max(bounds)
     assert milnor_projectivisation(spec) == oracle_by_products(spec)
+
+
+def test_builders_check_their_two_integers_once(monkeypatch):
+    # dkn_spec and adjustable_base_spec build their tuples from two checked
+    # ints, so the spec is not re-checked entry by entry
+    calls = counted_int_checks(monkeypatch, chern)
+    built = dkn_spec(20, 9)
+    assert calls == ["n and k must be integers"]
+    calls.clear()
+    adjustable = adjustable_base_spec(6, 7)
+    assert calls == ["base dimensions and summand degrees must be integers"]
+    monkeypatch.undo()
+    for got, public in (
+        (built, ProjBundleSpec((9,), ((-1,),) + ((1,),) * 10, True)),
+        (adjustable, ProjBundleSpec([1, 1], [[-1, 0], [0, 7], [0, 0], [0, 0], [0, 0]])),
+    ):
+        assert got == public and hash(got) == hash(public)
+        assert (got.base_dims, got.summands) == (public.base_dims, public.summands)
+        assert type(got.base_dims) is tuple and all(type(s) is tuple for s in got.summands)
+
+
+# The kernel on negative exponents, against the O(L^2) inverse of the
+# positive power; and the Segre factors behind fiber_integral, against the
+# inverse of the total Chern class.
+
+
+def draw_bounds(data):
+    """1-3 variables with bounds 0..4."""
+    return tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3), label="bounds"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_negative_exponent_is_the_inverse_power(data):
+    bounds = draw_bounds(data)
+    degrees = data.draw(st.tuples(*[st.integers(-3, 3)] * len(bounds)), label="degrees")
+    m = data.draw(st.integers(0, 8), label="m")
+    got = TruncatedPoly._of(bounds, chern._linear_power(bounds, degrees, -m))
+    assert got == poly_inverse(TruncatedPoly.linear_power(bounds, degrees, m))
+    # the public entry point still refuses a negative exponent
+    if m:
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            TruncatedPoly.linear_power(bounds, degrees, -m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fiber_integral_pairs_with_the_inverse_total_chern_class(data):
+    bounds = draw_bounds(data)
+    degrees = st.tuples(*[st.integers(-3, 3)] * len(bounds))
+    summands = data.draw(st.lists(degrees, min_size=1, max_size=5), label="summands")
+    conjugated = data.draw(st.booleans(), label="conjugated")
+    assume(len(summands) + conjugated >= 2)
+    spec = ProjBundleSpec(bounds, summands, conjugated)
+    size = len(TruncatedPoly.one(bounds).dense)
+    dense = data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size), label="omega")
+    omega = TruncatedPoly._of(bounds, dense)
+    assert fiber_integral(omega, spec) == integrate_top(omega * poly_inverse(total_chern(spec)))

@@ -585,6 +585,19 @@ def test_reproduce_passes(tmp_path, monkeypatch, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_reproduce_at_the_cap_within_stated_bound(tmp_path, monkeypatch):
+    # the largest oracle sweep, 11,175 oracle calls: 0.77-1.19 s in-process
+    # (Python 3.11, shared 2-vCPU host); the budget leaves over 2x for host drift
+    monkeypatch.setenv("COBFORGE_MAX_N", "150")
+    out = tmp_path / "rep.json"
+    start = time.perf_counter()
+    assert main(["reproduce", "--json", str(out)]) == 0
+    assert time.perf_counter() - start < 2.5
+    report = read_json(out)
+    assert report["outputs"]["oracle_sweep_top"] == 150
+    assert report["checks"] and all(c["passed"] for c in report["checks"])
+
+
 @pytest.mark.parametrize("value", ["1", "0", "-3", "abc", "1.5", "", "151", "400", "1" + "0" * 30])
 def test_reproduce_rejects_empty_oracle_sweep(monkeypatch, capsys, value):
     # past 150 the sweep would take over 5 s (400: 79,800 oracle calls)

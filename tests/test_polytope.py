@@ -958,3 +958,12 @@ def test_json_roundtrip_canonical():
     assert from_dict(doc) == p
     with pytest.raises(ValueError):
         from_dict({"dim": 3, "vertices": []})
+
+
+@pytest.mark.parametrize("n", [2.0, "3", None, True])
+@pytest.mark.parametrize("build", [simplex, plan_base])
+def test_simplex_and_plan_base_refuse_non_integers(build, n):
+    # without the check 2.0 raised TypeError from range, "3" and None from <
+    # (or from - in plan_base), and plan_base(True) refused a (-1)-simplex
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        build(n)
