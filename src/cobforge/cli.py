@@ -20,7 +20,7 @@ where the platform has one, so a reader that closes stdout early ends the
 process by SIGPIPE (return code -SIGPIPE), with nothing on stderr;
 in-process ``main()`` callers keep Python's default.
 The environment variable COBFORGE_MAX_N caps the oracle sweep size of the
-``reproduce`` command: default 100 (0.35-0.55 s end to end with Python 3.11
+``reproduce`` command: default 100 (0.3-0.55 s end to end with Python 3.11
 on a shared 2-vCPU host), at least 2 and at most 150 (0.8-1.4 s); any other
 value, or one that is not an integer, is refused with exit 1 before any work.
 ``milnor``'s oracle check makes at most three oracle calls, each O(k)
