@@ -13,6 +13,10 @@ For a split bundle the Segre class is the product of per-summand inverses
 (1 + d.x)^(-m), which the kernel ``_linear_power`` gives directly from a
 negative exponent, so the oracle never forms or inverts the total Chern
 class; ``total_chern`` and ``poly_inverse`` are the check route for it.
+The oracle pairs on the kernel's dense lists.  A summand group of degree 0
+contributes the factor 1 and is left out, so with at most two groups of
+nonzero degree (both builders) every top coefficient is one dot product;
+only a top of more than two factors reaches ``TruncatedPoly.__mul__``.
 
 Each check runs once, where input arrives: the public entry points
 (``TruncatedPoly``'s constructors and ``linear_power``, ``ProjBundleSpec``,
@@ -140,14 +144,16 @@ def _linear_power(bounds: tuple[int, ...], degrees: tuple[int, ...], exponent: i
     if not bounds:
         return dense
     width = bounds[-1] + 1
-    strides = [math.prod(m + 1 for m in bounds[j + 1 :]) for j in range(len(bounds))]
     for row, prefix in enumerate(_box(bounds[:-1])):
         i, s = row * width, sum(prefix)
-        j = next((j for j in reversed(range(len(prefix))) if prefix[j]), None)
-        c = 1 if j is None else (
-            dense[i - strides[j]] * (exponent - s + 1) * degrees[j] // prefix[j]
-        )
-        dense[i] = c
+        if row:
+            # j steps left past the zero exponents, its stride growing with it
+            j, stride = len(prefix) - 1, width
+            while not prefix[j]:
+                stride *= bounds[j] + 1
+                j -= 1
+            dense[i] = dense[i - stride] * (exponent - s + 1) * degrees[j] // prefix[j]
+        c = dense[i]
         for t in range(1, width):
             c = c * (exponent - s - t + 1) * degrees[-1] // t
             dense[i + t] = c
@@ -457,39 +463,44 @@ def integrate_top(omega: TruncatedPoly) -> int:
     return omega.dense[-1]
 
 
-def _top_of_product(a: TruncatedPoly, b: TruncatedPoly) -> int:
-    """``integrate_top(a * b)`` without forming the product.
+def _top_of_product(a: list[int], b: list[int]) -> int:
+    """The top coefficient of the product of the dense lists ``a`` and ``b``.
 
-    The top coefficient of a * b is sum_f a_f * b_(m-f) over the box, and the
-    row-major index of m - f is L - 1 minus that of f, so it is one dot
-    product of a's list with b's list reversed: O(L), not O(L^2).
+    It is sum_f a_f * b_(m-f) over the box, and the row-major index of m - f
+    is L - 1 minus that of f, so it is one dot product of a with b reversed:
+    O(L), not O(L^2).
     """
-    return sum(map(mul, a.dense, reversed(b.dense)))
+    return sum(map(mul, a, reversed(b)))
 
 
-def _segre_factors(spec: ProjBundleSpec) -> list[TruncatedPoly]:
-    """(1 + d.x)^(-m) for each distinct summand d of multiplicity m.
+def _segre_factors(spec: ProjBundleSpec) -> list[list[int]]:
+    """The dense list of (1 + d.x)^(-m) for each distinct summand d of nonzero degree.
 
     Their product is the total Segre class, the inverse of ``total_chern``;
-    each factor is one kernel call on ``spec``'s checked fields, O(L).
+    each factor is one kernel call on ``spec``'s checked fields, O(L).  A
+    summand group whose degrees are all 0 contributes the factor 1 and is
+    left out: the filter reads the degrees, never a list's entries.
     """
     bounds = spec.base_dims
     return [
-        TruncatedPoly._of(bounds, _linear_power(bounds, degrees, -mult))
-        for degrees, mult in spec._grouped
+        _linear_power(bounds, degrees, -mult) for degrees, mult in spec._grouped if any(degrees)
     ]
 
 
-def _top_of_factors(factors: Sequence[TruncatedPoly]) -> int:
-    """``integrate_top`` of the product of ``factors`` (at least one).
+def _top_of_factors(factors: Sequence[list[int]], bounds: tuple[int, ...]) -> int:
+    """The top coefficient of the product of the dense lists ``factors`` on ``bounds``.
 
-    Every factor but the last is multiplied out; the result is paired with
-    the last by ``_top_of_product``, so two factors take no product at all.
+    No factor is the class 1, whose top is 0 unless the box is a point.  One
+    factor is its last entry and two one dot product (``_top_of_product``);
+    only past two are all but the last multiplied with
+    ``TruncatedPoly.__mul__`` first.
     """
+    if not factors:
+        return 0 if any(bounds) else 1
     *rest, last = factors
-    if not rest:
-        return integrate_top(last)
-    return _top_of_product(functools.reduce(mul, rest), last)
+    if len(rest) > 1:
+        rest = [functools.reduce(mul, (TruncatedPoly._of(bounds, f) for f in rest)).dense]
+    return _top_of_product(rest[0], last) if rest else last[-1]
 
 
 def fiber_integral(omega: TruncatedPoly, spec: ProjBundleSpec) -> int:
@@ -500,11 +511,11 @@ def fiber_integral(omega: TruncatedPoly, spec: ProjBundleSpec) -> int:
     degree-(B-d) part of the total Segre class, so the pairing is the top
     coefficient of omega times the Segre class, taken as the product of its
     per-summand factors (see ``_segre_factors``).  This holds for every
-    omega: parts of degree above B vanish on the base.
+    omega, 0 included: parts of degree above B vanish on the base.
     """
     if omega.bounds != spec.base_dims:
         raise ValueError("omega must live on the base ring of the bundle")
-    return _top_of_factors([omega, *_segre_factors(spec)])
+    return _top_of_factors([omega.dense, *_segre_factors(spec)], spec.base_dims)
 
 
 def milnor_projectivisation(spec: ProjBundleSpec) -> int:
@@ -523,10 +534,12 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
     The pairing is taken group by group.  With S_h = (1 + l_h)^(-m_h) the
     Segre class is prod_h S_h, and (1 + l_g)^N * S_g = (1 + l_g)^(N - m_g),
     so the pairing is c * top(prod_h S_h) plus, for each g, m_g * top((1 +
-    l_g)^(N - m_g) * prod_(h != g) S_h).  Each factor is one kernel call on
-    ``spec``'s checked fields, and with at most two groups each top is one
-    dot product: O(L) per call, where the inverse of the total Chern class
-    is O(L^2).
+    l_g)^(N - m_g) * prod_(h != g) S_h).  A group of degree 0 has S_g = 1
+    and (1 + l_g)^(N - m_g) = 1, so it adds m_g * top(prod_h S_h) and no
+    factor.  Each factor is one kernel call on ``spec``'s checked fields,
+    and with at most two groups of nonzero degree (both builders) each top
+    is one dot product: O(L) per call, where the inverse of the total Chern
+    class is O(L^2).
     """
     n = spec.total_dim
     if n < 2:
@@ -537,8 +550,16 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
         )
     bounds = spec.base_dims
     segre = _segre_factors(spec)
-    total = (-1) ** n * _top_of_factors(segre) if spec.conjugated_trivial else 0
-    for g, (degrees, mult) in enumerate(spec._grouped):
-        power = TruncatedPoly._of(bounds, _linear_power(bounds, degrees, n - mult))
-        total += mult * _top_of_factors([power, *segre[:g], *segre[g + 1 :]])
+    # c plus the multiplicity of each degree-0 group: the weight of top(prod_h S_h)
+    weight = (-1) ** n if spec.conjugated_trivial else 0
+    total = g = 0
+    for degrees, mult in spec._grouped:
+        if not any(degrees):
+            weight += mult
+            continue
+        power = _linear_power(bounds, degrees, n - mult)
+        total += mult * _top_of_factors([power, *segre[:g], *segre[g + 1 :]], bounds)
+        g += 1
+    if weight:
+        total += weight * _top_of_factors(segre, bounds)
     return total

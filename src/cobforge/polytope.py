@@ -73,8 +73,8 @@ class SimplePolytope:
     distinctness, that no facet is redundant, and that every ridge (an
     (n-1)-subset of some vertex's facets) lies in exactly two vertices, the
     edge condition of a polytope boundary, and, at dim 3, Euler's relation
-    2 * facets == vertices + 4.  The module's own constructions (``product``
-    and ``_Incidence.polytope``) hand over sorted ``int`` tuples by
+    2 * facets == vertices + 4.  The module's own constructions (``simplex``,
+    ``product`` and ``_Incidence.polytope``) hand over sorted ``int`` tuples by
     construction and take the private path ``_canonical``, which skips only
     the per-index integer check and the per-vertex sort; every polytope, on
     either path, is validated in full.
@@ -178,6 +178,9 @@ def face(p: SimplePolytope, defining_facets: Iterable[int]) -> Face:
     defining = frozenset(facets)
     if not defining:
         raise ValueError("a face needs at least one defining facet")
+    # a repeat would name a face of lower codimension than was asked for
+    if len(defining) != len(facets):
+        raise ValueError(f"repeated facet index in {list(facets)}")
     if any(not 0 <= f < p.facet_count for f in defining):
         raise ValueError("facet index out of range")
     verts = tuple(v for v in p.vertices if defining.issubset(v))
@@ -193,11 +196,11 @@ def simplex(n: int) -> SimplePolytope:
 
 
 def _simplex(n: int) -> SimplePolytope:
-    """``simplex`` on an ``int`` n, built by the public constructor."""
+    """``simplex`` on an ``int`` n; its vertex tuples are sorted ``int`` by construction."""
     if n < 1:
         raise ValueError("simplex dimension must be >= 1")
-    verts = [[f for f in range(n + 1) if f != skip] for skip in range(n + 1)]
-    return SimplePolytope(n, n + 1, verts)
+    verts = [tuple(f for f in range(n + 1) if f != skip) for skip in range(n + 1)]
+    return SimplePolytope._canonical(n, n + 1, verts)
 
 
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cobforge import chern
 from cobforge.chern import (
@@ -145,7 +145,7 @@ def test_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         assert a * TruncatedPoly.one(bounds) == a
         # the oracle's pairing: the top coefficient without the product
-        assert _top_of_product(a, b) == integrate_top(a * b)
+        assert _top_of_product(a.dense, b.dense) == integrate_top(a * b)
 
 
 # Test-only references: the plain loops that squaring and the one-pass
@@ -386,20 +386,76 @@ def oracle_by_products(spec):
     return integrate_top(pairing * poly_inverse(total))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_oracle_matches_the_public_ring_on_random_bundles(data):
-    bounds = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=2), label="bounds"))
+@st.composite
+def random_specs(draw, max_vars, max_summands):
+    """A spec over 1..max_vars base factors of dimension 0..4, with
+    1..max_summands summands of degrees -3..3 and fiber dimension >= 1."""
+    bounds = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=max_vars)))
     degrees = st.tuples(*[st.integers(-3, 3)] * len(bounds))
-    summands = data.draw(st.lists(degrees, min_size=1, max_size=4), label="summands")
-    conjugated = data.draw(st.booleans(), label="conjugated")
-    # fiber dimension >= 1 and total dimension >= 2; the total dimension then
-    # exceeds every base dimension
-    fiber_dim = len(summands) + conjugated - 1
-    assume(fiber_dim >= 1 and sum(bounds) + fiber_dim >= 2)
-    spec = ProjBundleSpec(bounds, summands, conjugated)
-    assert spec.total_dim > max(bounds)
+    conjugated = draw(st.booleans())
+    summands = draw(st.lists(degrees, min_size=2 - conjugated, max_size=max_summands))
+    return ProjBundleSpec(bounds, summands, conjugated)
+
+
+# every summand of degree 0: no Segre factor at all, over a point and over a box
+ALL_DEGREE_ZERO = [
+    ProjBundleSpec(bounds, ((0,) * len(bounds),) * 3, conjugated)
+    for bounds in ((0,), (1, 2))
+    for conjugated in (False, True)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=random_specs(max_vars=2, max_summands=4))
+@example(spec=ALL_DEGREE_ZERO[0])
+@example(spec=ALL_DEGREE_ZERO[1])
+@example(spec=ALL_DEGREE_ZERO[2])
+@example(spec=ALL_DEGREE_ZERO[3])
+def test_oracle_matches_the_public_ring_on_random_bundles(spec):
+    # total dimension >= 2; it then exceeds every base dimension
+    assume(spec.total_dim >= 2)
+    assert spec.total_dim > max(spec.base_dims)
     assert milnor_projectivisation(spec) == oracle_by_products(spec)
+
+
+def counted_oracle(monkeypatch):
+    """Record the degrees of every kernel call and count ``TruncatedPoly`` products."""
+    kernels, products = [], []
+    kernel, product = chern._linear_power, TruncatedPoly.__mul__
+
+    def counted_kernel(bounds, degrees, exponent):
+        kernels.append(degrees)
+        return kernel(bounds, degrees, exponent)
+
+    def counted_product(self, other):
+        products.append(self.bounds)
+        return product(self, other)
+
+    monkeypatch.setattr(chern, "_linear_power", counted_kernel)
+    monkeypatch.setattr(TruncatedPoly, "__mul__", counted_product)
+    return kernels, products
+
+
+def test_builder_specs_pair_by_dot_products_alone(monkeypatch):
+    # both builders make two groups of nonzero degree; adjustable_base_spec's
+    # n - 3 trivial summands take no kernel call
+    specs = [dkn_spec(20, 9), adjustable_base_spec(6, 7), adjustable_base_spec(4, 1)]
+    kernels, products = counted_oracle(monkeypatch)
+    assert [milnor_projectivisation(spec) for spec in specs] == [s_dkn(20, 9), 7 * 7, 5]
+    assert products == []
+    # a Segre factor, then a power, for each group of nonzero degree
+    assert kernels == [(-1,), (1,)] * 2 + [(-1, 0), (0, 7)] * 2 + [(-1, 0), (0, 1)] * 2
+
+
+def test_three_groups_of_nonzero_degree_still_take_a_product(monkeypatch):
+    spec = ProjBundleSpec((2, 1), ((1, 0), (0, 1), (1, -2), (0, 0), (0, 0)), True)
+    expected = oracle_by_products(spec)
+    kernels, products = counted_oracle(monkeypatch)
+    assert milnor_projectivisation(spec) == expected
+    # four tops of three factors (the Segre class, and one per group), each
+    # multiplying its first two; the degree-0 group makes no kernel call
+    assert products == [(2, 1)] * 4
+    assert (0, 0) not in kernels and len(kernels) == 6
 
 
 def test_builders_check_their_two_integers_once(monkeypatch):
@@ -445,16 +501,21 @@ def test_kernel_negative_exponent_is_the_inverse_power(data):
             TruncatedPoly.linear_power(bounds, degrees, -m)
 
 
+@st.composite
+def specs_with_a_class(draw):
+    """A random spec over 1-3 base factors and a class omega on its base."""
+    spec = draw(random_specs(max_vars=3, max_summands=5))
+    size = len(TruncatedPoly.one(spec.base_dims).dense)
+    dense = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    return spec, TruncatedPoly._of(spec.base_dims, dense)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_fiber_integral_pairs_with_the_inverse_total_chern_class(data):
-    bounds = draw_bounds(data)
-    degrees = st.tuples(*[st.integers(-3, 3)] * len(bounds))
-    summands = data.draw(st.lists(degrees, min_size=1, max_size=5), label="summands")
-    conjugated = data.draw(st.booleans(), label="conjugated")
-    assume(len(summands) + conjugated >= 2)
-    spec = ProjBundleSpec(bounds, summands, conjugated)
-    size = len(TruncatedPoly.one(bounds).dense)
-    dense = data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size), label="omega")
-    omega = TruncatedPoly._of(bounds, dense)
+@given(case=specs_with_a_class())
+# omega = 0 and omega = 1 beside a degree-0 group: omega is a factor whatever
+# its entries, and only the trivial summands are left out
+@example(case=(adjustable_base_spec(5, 2), TruncatedPoly.constant((1, 1), 0)))
+@example(case=(adjustable_base_spec(5, 2), TruncatedPoly.one((1, 1))))
+def test_fiber_integral_pairs_with_the_inverse_total_chern_class(case):
+    spec, omega = case
     assert fiber_integral(omega, spec) == integrate_top(omega * poly_inverse(total_chern(spec)))

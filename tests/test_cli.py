@@ -223,6 +223,17 @@ def test_polytope_cut_face_and_iso(tmp_path):
     ]
 
 
+def test_polytope_cut_face_refuses_a_repeated_facet(tmp_path, capsys):
+    # it cut the edge {0, 1} and exited 0
+    infile, out = tmp_path / "simplex.json", tmp_path / "cut.json"
+    write_polytope(infile, polytope.simplex(3))
+    args = ["--infile", str(infile), "--facets", "0,0,1", "--out", str(out)]
+    assert main(["polytope", "cut-face", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: repeated facet index in [0, 0, 1]\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_polytope_iso_checks_bijection_outside_search(tmp_path, monkeypatch, capsys):
     # a search that returns a permutation which is not an isomorphism: it
     # swaps the fresh triangle (facet 4) with a quadrilateral (facet 0)

@@ -169,8 +169,9 @@ def test_vertices_are_the_sorted_integer_tuples_to_dict_writes():
 
 
 def test_internal_constructions_check_no_integer_twice(monkeypatch):
-    # product and _Incidence build from validated polytopes and hand over
-    # sorted int tuples; only the public constructor checks the integer rule
+    # simplex, product and _Incidence build from a checked int or validated
+    # polytopes and hand over sorted int tuples; only the public constructor
+    # checks the integer rule
     base, segment = plan_base(5), simplex(1)
     incidence = polytope._Incidence(base)
     incidence.modify(base.vertices[0], 1, 0)
@@ -184,11 +185,12 @@ def test_internal_constructions_check_no_integer_twice(monkeypatch):
     monkeypatch.setattr(polytope, "_require_ints", counted)
     cut, prism = incidence.polytope(), product(base, segment)
     assert calls == []
-    # the three simplex factors of the base, each built by the public constructor
+    # the three simplex factors of the base are built from the plan's checked n
+    simplices = [simplex(1), simplex(3)]
     apply_plan(toy_plan(5, (1, 2, 0, 1)))
-    assert calls == ["dim and facets must be integers", "facet indices must be integers"] * 3
+    assert calls == ["simplex dimension must be an integer"] * 2
     monkeypatch.undo()
-    for p in (cut, prism):
+    for p in (cut, prism, *simplices):
         assert canonical_form(p) and p == SimplePolytope(p.dim, p.facet_count, p.vertices)
     # the private path still validates in full
     with pytest.raises(ValueError, match="ridge contained in 1 vertices"):
@@ -203,6 +205,13 @@ def test_face_lookup():
         face(s, [])
     with pytest.raises(ValueError):
         face(cube(3), [0, 1])  # opposite facets of the square factor
+
+
+def test_face_rule_refuses_a_repeated_facet():
+    # the repeat was merged away: [0, 0, 1] named the codimension-2 face {0, 1}
+    for route in (face, cut_face):
+        with pytest.raises(ValueError, match=r"repeated facet index in \[0, 0, 1\]"):
+            route(simplex(3), [0, 0, 1])
 
 
 @pytest.mark.parametrize("facets", [[0.9, 1.2], [0, 1.0], [True, 2], ["0", "1"]])
