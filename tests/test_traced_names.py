@@ -5,15 +5,23 @@
 --trace 1``) wraps the public functions defined in each ``cobforge.<layer>``
 module, plus ``TruncatedPoly.__mul__`` and ``SimplePolytope.__init__``, and
 then looks each listed metric up; a name the program no longer defines makes
-that run raise ``KeyError``.  This test fails first.
+that run raise ``KeyError``.  This test fails first.  A second test runs the
+tracer itself on an oracle call that multiplies, since no workload does: it
+patches ``TruncatedPoly.__rmul__`` too and reads ``coeffs`` on every product.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+import cobforge
+from cobforge.chern import ProjBundleSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Traced methods and the (class, attribute) they are read from.
 METHODS = {
@@ -52,3 +60,31 @@ def test_benchmark_per_layer_names_are_defined():
     assert len(names) >= 20, names
     missing = [f"{layer}.{name}" for layer, name in names if not is_traced(layer, name)]
     assert not missing, f"traced names the program does not define: {missing}"
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, loaded from its file: ``perfbench`` is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_the_oracle_products():
+    # no workload multiplies, so only this run reaches the tracer's hooks on
+    # TruncatedPoly: it patches __mul__ and __rmul__ by name and reads coeffs
+    tracer_module = load_tracer()
+    for layer in tracer_module.LAYERS:
+        importlib.import_module(f"cobforge.{layer}")
+    # three summand groups of nonzero degree: four tops of three factors
+    spec = ProjBundleSpec((2, 1), ((1, 0), (0, 1), (1, -2), (0, 0), (0, 0)), True)
+    tracer = tracer_module.Tracer()
+    tracer.install(cobforge)
+    try:
+        cobforge.chern.milnor_projectivisation(spec)
+    finally:
+        tracer.uninstall()
+    calls, _ = tracer.self_times(0, tracer.mark())
+    assert calls["chern.milnor_projectivisation"] == 1
+    assert calls["chern.TruncatedPoly.mul"] == 4
+    assert tracer.counters["chern.TruncatedPoly.mul.term_pairs"] > 0
