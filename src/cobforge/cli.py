@@ -27,9 +27,12 @@ value, or one that is not an integer, is refused with exit 1 before any work.
 big-integer steps (the Segre class is a product of per-summand inverses), so
 n <= 400 checks in under 5 s (about 0.1 s end to end at n = 400, any k);
 ``milnor`` refuses n > 400 with exit 1.  ``plan``
-builds and verifies a plan for n <= 400 in under 1 s (n = 398 is tested),
-and ``plan``, ``gcd-check`` and ``witness`` refuse n > 400 the same way,
-through one helper (``_checked_n``).  ``polytope apply-plan`` refuses
+builds and verifies a plan for every 3 <= n <= 400 in under 1 s (n = 398,
+399 and 400 are tested), and ``plan --n N`` followed by ``polytope
+apply-plan`` plays every 3 <= N <= 100.  ``plan`` refuses n < 3 with
+exit 1 (``construct_plan``'s ``ValueError``), and ``plan``, ``gcd-check``
+and ``witness`` refuse n > 400 like ``milnor``, through one helper
+(``_checked_n``).  ``polytope apply-plan`` refuses
 plans past n = 100 or past 10,000 vertices (``polytope.check_plan_size``)
 before it verifies the plan.  The types in a plan document are checked
 once, by ``planner.ModificationPlan``.
@@ -224,7 +227,7 @@ def cmd_polytope_cut_face(args: argparse.Namespace) -> Result:
     p = _load_polytope(args.infile)
     defining = [int(f) for f in args.facets.split(",")]
     cut = polytope.face(p, defining)
-    result = polytope.cut_face(p, defining)
+    result = polytope._cut_named_face(p, cut)
     facets = sorted(cut.defining_facets)
     inputs = {"infile": args.infile, "facets": facets}
     expected = len(p.vertices) + len(cut.vertex_set) * (cut.codim - 1)

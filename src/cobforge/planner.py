@@ -1,19 +1,23 @@
-"""Constructing modification plans that land on Milnor number 1.
+"""Constructing modification plans that land on a generator's Milnor number.
 
-For even n with n+1 not a prime power, the base projectivisation
-``chern.adjustable_base_spec(n, a)`` has Milnor number (n+1)*a and each
-modification of type k changes it by s_kn(n, k).  The plan takes the twist a
-and the modification counts from one nonnegative solution of
-(n+1)*a + sum(c_k * s_kn(n, k)) = 1.  An independent recomputation path and
-the Milnor-Novikov generator criterion validate the result.
+For every n >= 3 the base projectivisation ``chern.adjustable_base_spec(n, a)``
+has Milnor number (n+1)*a and each modification of type k changes it by
+s_kn(n, k).  A plan takes the twist a and the modification counts from one
+nonnegative solution of (n+1)*a + sum(c_k * s_kn(n, k)) = t, where t is 1,
+or p when n+1 = p^e; among those it takes one whose polytope
+(``polytope.apply_plan``) has the fewest vertices.  An independent
+recomputation path and the Milnor-Novikov generator criterion validate the
+result.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from . import chern, frobenius, milnor
+from . import chern, milnor
 from .arith import _require_ints, prime_power_check
+from .polytope import _step_vertex_count
 
 
 @dataclass(frozen=True)
@@ -79,47 +83,68 @@ class ModificationPlan:
 
 
 def construct_plan(n: int) -> ModificationPlan:
-    """Plan reaching Milnor number 1 in even dimension n, n+1 not a prime power.
+    """Plan with the fewest vertices reaching the generator value t in dimension n.
 
-    With b_k = -s_kn(n, k), the plan solves (n+1)*a - sum(c_k * b_k) = 1 for
-    the base twist a and the counts c_k together: ``frobenius.represent``
-    writes -1 over the positive b_k plus -(n+1), and that last coefficient
-    is a.  For every admissible even n <= 100, -(n+1) is the smallest
-    |entry|, so the lift has period 1 and no sign trade reaches the counts:
-    c is a shortest path of the Apery distance d, the smallest combination
-    of positive b_k congruent to -1 mod n+1, and a = (d+1)/(n+1).  Plans
-    exist, verify and pass the generator criterion for every such n, with at
-    most n/2 modifications; the tests bound each such n to under 1 s.
+    The target is t = 1, or t = p when n+1 = p^e: the value
+    ``milnor_novikov_check`` asks for.  With b_k = -s_kn(n, k) and
+    m = n+1, a plan solves m*a - sum(c_k * b_k) = t, and the twist a >= 1 is
+    free, so only sum(c_k * b_k) = -t mod m is constrained.  This is a
+    Dijkstra over the m residues mod m from 0: each positive b_k is an edge
+    of step b_k mod m and cost (n-1) + (k+1)(n-k-1), the vertices one
+    type-k modification adds to the polytope (``polytope.plan_vertex_count``
+    sums the same term).  It stops
+    when it pops the goal residue -t mod m; the predecessor links give the
+    counts, and a = (sum(c_k * b_k) + t)/m >= 1.  So the plan's polytope has
+    the fewest vertices of any plan over positive b_k, and a may be large
+    (up to 40 digits for n <= 100).  A prime n+1 needs no modification.
 
-    The prime-power refusal is the only gcd check here, and the row is
-    walked once.  The whole row's gcd divides s_kn(n, 1) = -(n+1), and
-    ``milnor.witness_k`` shows that no prime factor of n+1 divides the whole
-    row, so that gcd is 1.  The gcd the solver needs, over the positive b_k
-    and n+1 (1 for every admissible even n <= 100 in the tests), is checked
-    by ``frobenius.represent`` on its own basis.
+    Cost: O(m * K * log(m * K)) heap steps for the K positive b_k, after one
+    walk of the row; every n <= 400 plans in well under 1 s.  Only n < 3 is
+    refused.  A goal residue the positive b_k cannot reach raises
+    ``ValueError``; it happens for no 3 <= n <= 400 (tested).
     """
-    if n < 2 or n % 2:
-        raise ValueError("n must be even and >= 2")
-    if prime_power_check(n + 1) is not None:
-        raise ValueError(f"n+1 = {n + 1} is a prime power")
+    _require_ints((n,), "n must be an integer")
+    if n < 3:
+        raise ValueError("dimension n must be >= 3")
+    m = n + 1
+    pp = prime_power_check(m)
+    t = 1 if pp is None else pp[0]
+    goal = -t % m
 
     row = [-s for s in milnor.s_kn_row(n)]
-    ks = [k for k, b in enumerate(row) if b > 0]
-    rep = frobenius.represent(-1, [row[k] for k in ks] + [-(n + 1)])
-    *used, a = rep.coefficients
+    edges = [(b % m, _step_vertex_count(n, k), k) for k, b in enumerate(row) if b > 0]
+    dist: list[int | None] = [None] * m
+    pred: list[tuple[int, int] | None] = [None] * m
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if r == goal:
+            break
+        if d > dist[r]:
+            continue
+        for step, cost, k in edges:
+            s, nd = (r + step) % m, d + cost
+            if dist[s] is None or nd < dist[s]:
+                dist[s], pred[s] = nd, (r, k)
+                heapq.heappush(heap, (nd, s))
+    else:
+        raise ValueError(f"no plan reaches Milnor number {t} in dimension n = {n}")
 
     counts = [0] * (n - 1)
-    for k, c in zip(ks, used):
-        counts[k] = c
+    r = goal
+    while r:
+        r, k = pred[r]
+        counts[k] += 1
 
-    base_milnor = (n + 1) * a
-    predicted = base_milnor - sum(c * b for c, b in zip(counts, row))
+    reached = sum(c * b for c, b in zip(counts, row))
+    a = (reached + t) // m
     return ModificationPlan(
         n=n,
         a=a,
-        base_milnor=base_milnor,
+        base_milnor=m * a,
         counts=tuple(counts),
-        predicted_milnor=predicted,
+        predicted_milnor=m * a - reached,
     )
 
 

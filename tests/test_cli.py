@@ -10,6 +10,7 @@ import pytest
 
 from cobforge import cli, planner, polytope
 from cobforge.cli import main
+from cobforge.milnor import s_kn
 
 
 def read_json(path):
@@ -104,16 +105,16 @@ def test_plan_report(tmp_path, capsys):
     assert main(["plan", "--n", "14", "--json", str(out)]) == 0
     report = read_json(out)
     doc = report["outputs"]["plan"]
-    assert doc["n"] == 14 and doc["a"] == "3953"
+    assert doc["n"] == 14 and doc["a"] == "8732"
     assert doc["predicted_milnor"] == "1"
-    assert doc["base_milnor"] == str(15 * 3953)
+    assert doc["base_milnor"] == str(15 * 8732)
     assert len(doc["counts"]) == 13
     assert all(c["passed"] for c in report["checks"])
-    assert main(["plan", "--n", "4"]) == 1
+    assert main(["plan", "--n", "2"]) == 1
 
 
 def test_plan_n398_within_stated_bound(tmp_path):
-    # the largest admissible even n under plan's bound n <= 400: under 1 s
+    # the largest even n under plan's bound n <= 400 with n+1 not a prime power: under 1 s
     out = tmp_path / "plan.json"
     start = time.perf_counter()
     assert main(["plan", "--n", "398", "--json", str(out)]) == 0
@@ -154,9 +155,29 @@ def test_gcd_check_and_witness_refuse_fast(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "n, predicted, modifications",
+    [
+        (399, "1", 5),  # odd n, 400 = 2^4 * 5^2 not a prime power
+        (400, "401", 0),  # 401 is prime: the base alone (a = 1) is a generator
+    ],
+    ids=["n399", "n400"],
+)
+def test_plan_top_of_stated_bound(tmp_path, n, predicted, modifications):
+    out = tmp_path / "plan.json"
+    start = time.perf_counter()
+    assert main(["plan", "--n", str(n), "--json", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    report = read_json(out)
+    doc = report["outputs"]["plan"]
+    assert doc["predicted_milnor"] == predicted and sum(doc["counts"]) == modifications
+    assert int(doc["base_milnor"]) == (n + 1) * int(doc["a"])
+    assert all(c["passed"] for c in report["checks"])
+
+
 def test_plan_n50(capsys):
-    # the base twist is a = 242,841,156,445,048, so base_milnor (~1.2e16) is
-    # past the exact range of 64-bit floats
+    # the base twist is a = 3,104,503,419,670,057, so base_milnor (~1.6e17)
+    # is past the exact range of 64-bit floats
     assert main(["plan", "--n", "50"]) == 0
     assert "plan: 2/2 checks passed" in capsys.readouterr().out
 
@@ -221,6 +242,24 @@ def test_polytope_cut_face_and_iso(tmp_path):
         {"name": "isomorphic", "passed": True},
         {"name": "bijection_carries_vertices", "passed": True},
     ]
+
+
+def test_polytope_cut_face_names_the_face_once(tmp_path, monkeypatch):
+    # the handler reports the face it cut, so it names it and cuts that face
+    infile, out = tmp_path / "simplex.json", tmp_path / "cut.json"
+    write_polytope(infile, polytope.simplex(3))
+    calls = []
+    face = polytope.face
+
+    def counted(p, defining):
+        calls.append(defining)
+        return face(p, defining)
+
+    monkeypatch.setattr(cli.polytope, "face", counted)
+    args = ["--infile", str(infile), "--facets", "0,1", "--out", str(out)]
+    assert main(["polytope", "cut-face", *args]) == 0
+    assert len(calls) == 1
+    assert polytope.from_dict(read_json(out)) == polytope.cut_face(polytope.simplex(3), [0, 1])
 
 
 def test_polytope_cut_face_refuses_a_repeated_facet(tmp_path, capsys):
@@ -305,7 +344,7 @@ def test_polytope_hvec_enumerates_faces_once(tmp_path, monkeypatch):
 
 
 def test_polytope_hvec_refuses_past_work_limit(tmp_path, capsys):
-    # the shipped n = 20 plan's polytope: 340 * 2^20 subsets, past the 2^25 limit
+    # the shipped n = 20 plan's polytope: 262 * 2^20 subsets, past the 2^25 limit
     infile = tmp_path / "n20.json"
     write_polytope(infile, polytope.apply_plan(planner.construct_plan(20)))
     start = time.perf_counter()
@@ -397,7 +436,7 @@ def test_polytope_apply_plan_refuses_mismatched_twist(tmp_path):
     assert read_json(report)["checks"] == [{"name": "plan_verified", "passed": False}]
 
 
-@pytest.mark.parametrize("n, vertices", [(14, 188), (20, 340), (32, 724)])
+@pytest.mark.parametrize("n, vertices", [(14, 156), (20, 262), (32, 528), (98, 2198)])
 def test_shipped_plan_plays(tmp_path, n, vertices):
     report = tmp_path / "plan-report.json"
     assert main(["plan", "--n", str(n), "--json", str(report)]) == 0
@@ -436,16 +475,25 @@ def test_polytope_apply_plan_reads_large_twist(tmp_path, a):
 
 
 @pytest.mark.parametrize("n", [84, 98])
-def test_polytope_apply_plan_refuses_oversized_plans(tmp_path, capsys, n):
-    # the shipped plans build 13,438 (n=84) and 12,260 (n=98) vertices
-    report = tmp_path / "plan-report.json"
-    assert main(["plan", "--n", str(n), "--json", str(report)]) == 0
+def test_polytope_apply_plan_refuses_oversized_plans(tmp_path, monkeypatch, capsys, n):
+    # six modifications with k = n/2 build 11,408 (n=84) and 15,370 (n=98)
+    # vertices; no built plan is that large, so the document is written out.
+    # Its bookkeeping adds up, so only the size check can refuse it.
+    counts = [0] * (n - 1)
+    counts[n // 2] = 6
+    predicted = n + 1 + 6 * s_kn(n, n // 2)
+    doc = {"n": n, "a": 1, "base_milnor": str(n + 1), "counts": counts,
+           "predicted_milnor": str(predicted)}
+    assert polytope.plan_vertex_count(n, counts) > 10_000
+    assert planner.verify_plan(cli._plan_from_document(doc))
     plan_file = tmp_path / "plan.json"
-    plan_file.write_text(json.dumps(read_json(report)["outputs"]["plan"]), encoding="utf-8")
-    capsys.readouterr()
+    plan_file.write_text(json.dumps(doc), encoding="utf-8")
+    verified = []
+    monkeypatch.setattr(cli.planner, "verify_plan", lambda plan: verified.append(plan))
     start = time.perf_counter()
     assert main(["polytope", "apply-plan", "--plan", str(plan_file)]) == 1
     assert time.perf_counter() - start < 1.0
+    assert verified == []
     err = capsys.readouterr().err
     assert err.startswith("error: plan would build") and err.count("\n") == 1
 

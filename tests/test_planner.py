@@ -4,9 +4,10 @@ from math import gcd
 
 import pytest
 
+from cobforge import planner
 from cobforge.arith import prime_power_check
 from cobforge.chern import milnor_projectivisation
-from cobforge.milnor import s_kn
+from cobforge.milnor import s_kn, s_kn_row
 from cobforge.planner import (
     GeneratorVerdict,
     ModificationPlan,
@@ -14,6 +15,7 @@ from cobforge.planner import (
     milnor_novikov_check,
     verify_plan,
 )
+from cobforge.polytope import check_plan_size, plan_vertex_count
 
 
 def test_milnor_novikov_pinned():
@@ -38,14 +40,22 @@ def test_milnor_novikov_rejects_nonpositive_dimension():
         milnor_novikov_check(0, 1)
 
 
-# Every even n <= 100 with n+1 not a prime power: the range the witness gate covers.
-ADMISSIBLE = [n for n in range(2, 101, 2) if prime_power_check(n + 1) is None]
+def target(n):
+    """The generator value a plan aims at: 1, or p when n+1 = p^e."""
+    pp = prime_power_check(n + 1)
+    return 1 if pp is None else pp[0]
 
 
-@pytest.mark.parametrize("n", ADMISSIBLE)
+def positive_row(n):
+    """(k, b_k) for every positive b_k = -s_kn(n, k): the planner's steps."""
+    return [(k, -s) for k, s in enumerate(s_kn_row(n)) if s < 0]
+
+
+@pytest.mark.parametrize("n", range(3, 101))
 def test_construct_plan_reaches_one(n):
+    # one, or p when n+1 = p^e: the value the generator criterion asks for
     # stated bound: construct + verify + generator check under 1 s for each n
-    # (the slowest, n = 98, takes about 0.003 s on a 2-vCPU x86-64 host, Python 3.11)
+    # (the slowest n <= 100 takes about 0.003 s on a 2-vCPU x86-64 host, Python 3.11)
     start = time.perf_counter()
     plan = construct_plan(n)
     verified = verify_plan(plan)
@@ -54,7 +64,7 @@ def test_construct_plan_reaches_one(n):
     assert verified
     assert verdict.is_generator
     assert elapsed < 1.0
-    assert plan.predicted_milnor == 1
+    assert plan.predicted_milnor == target(n)
     assert plan.a >= 1
     assert plan.base_milnor == (n + 1) * plan.a
     assert len(plan.counts) == n - 1
@@ -64,19 +74,57 @@ def test_construct_plan_reaches_one(n):
     assert plan.predicted_milnor == plan.base_milnor + sum(
         c * s_kn(n, k) for k, c in enumerate(plan.counts)
     )
+    # apply-plan takes it: at most 2,710 vertices (n = 92), under its 10,000 limit
+    assert plan_vertex_count(n, plan.counts) <= 2710
+    check_plan_size(plan)
 
 
 def test_plan_sizes_pinned():
-    assert sum(construct_plan(14).counts) == 4
-    assert sum(construct_plan(20).counts) == 4
+    assert sum(construct_plan(14).counts) == 2
+    assert sum(construct_plan(20).counts) == 3
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_construct_plan_has_fewest_vertices(n):
+    # brute force over every count vector on the positive b_k whose polytope
+    # has at most as many vertices as the plan's: none that reaches the
+    # generator value mod n+1 is smaller
+    m, t = n + 1, target(n)
+    steps = positive_row(n)
+    best = plan_vertex_count(n, construct_plan(n).counts)
+
+    def smallest(i, counts, residue):
+        vertices = plan_vertex_count(n, counts)
+        if vertices > best:
+            return None
+        found = vertices if (residue + t) % m == 0 else None
+        for j in range(i, len(steps)):
+            k, b = steps[j]
+            counts[k] += 1
+            deeper = smallest(j, counts, (residue + b) % m)
+            counts[k] -= 1
+            if deeper is not None and (found is None or deeper < found):
+                found = deeper
+        return found
+
+    assert smallest(0, [0] * (n - 1), 0) == best
 
 
 def test_positive_row_entries_and_n_plus_one_have_gcd_one():
-    # construct_plan solves over the positive entries of -s_kn plus -(n+1):
-    # represent needs that basis to have gcd 1 (checked to hold up to n = 400).
-    for n in ADMISSIBLE:
-        positive = [-s_kn(n, k) for k in range(n - 1) if -s_kn(n, k) > 0]
-        assert gcd(n + 1, *positive) == 1, n
+    # construct_plan's Dijkstra from residue 0 reaches exactly the multiples
+    # of g = gcd(n+1, positive b_k) mod n+1, so its goal -t is reachable iff
+    # g divides t: g = 1 when n+1 is not a prime power, and g divides p when
+    # n+1 = p^e (checked for every n in 3..400, plan's whole range)
+    for n in range(3, 401):
+        g = gcd(n + 1, *(b for _, b in positive_row(n)))
+        assert target(n) % g == 0, n
+
+
+def test_construct_plan_unreachable_goal_names_n(monkeypatch):
+    # no positive b_k: no step leaves residue 0, and the goal -1 mod 15 is not 0
+    monkeypatch.setattr(planner.milnor, "s_kn_row", lambda n: iter([1] * (n - 1)))
+    with pytest.raises(ValueError, match="n = 14"):
+        construct_plan(14)
 
 
 def test_construct_plan_base_matches_oracle():
@@ -89,12 +137,13 @@ def test_construct_plan_deterministic():
 
 
 def test_construct_plan_rejects_bad_dimensions():
-    with pytest.raises(ValueError, match="prime power"):
-        construct_plan(4)
-    with pytest.raises(ValueError, match="prime power"):
-        construct_plan(16)
-    with pytest.raises(ValueError, match="even"):
-        construct_plan(13)
+    # every n >= 3 plans; only n < 3 and non-int n are refused
+    for n in (2, 0, -1):
+        with pytest.raises(ValueError, match=">= 3"):
+            construct_plan(n)
+    for n in (14.0, True, "14"):
+        with pytest.raises(ValueError, match="integer"):
+            construct_plan(n)
 
 
 def test_verify_plan_zero_counts():
