@@ -3,16 +3,18 @@
 Each subcommand handler does its work, prints human-readable lines, and
 returns ``(inputs, outputs, checks)``: an echo of the inputs, the outputs,
 and the named checks as an ordered ``{name: passed}`` mapping.  ``main`` is
-the one place that turns this into a report ``{command, inputs, outputs,
-checks}``: it prints one ``[PASS]``/``[FAIL]`` line per check and a
+the one place that turns this into a report ``{command, meta, inputs,
+outputs, checks}``: it prints one ``[PASS]``/``[FAIL]`` line per check and a
 ``<command>: p/q checks passed`` summary, writes the report with ``--json
 FILE``, and exits 0 exactly when every check passed.  ``command`` is the
-subcommand path, e.g. ``"polytope cut-vertex"``.  Every check compares the
-result against a second route: ``milnor`` rebuilds its value from oracle
-values of s_dkn, and ``polytope apply-plan`` checks the vertex and facet
-counts of the played polytope against their closed form.  Milnor-type
-quantities are serialized as decimal strings so consumers without big
-integers cannot lose precision.
+subcommand path, e.g. ``"polytope cut-vertex"``, and ``meta`` records what
+the run ran under: ``cobforge_version``, ``python`` (its version) and
+``COBFORGE_MAX_N`` (the environment's raw value, ``null`` when unset).
+Every check compares the result against a second route: ``milnor`` rebuilds
+its value from oracle values of s_dkn, and ``polytope apply-plan`` checks the
+vertex and facet counts of the played polytope against their closed form.
+Milnor-type quantities are serialized as decimal strings so consumers
+without big integers cannot lose precision.
 
 Exit codes: 0 all checks passed, 1 domain error or failed check, 2 usage.
 The console script (``entrypoint``) restores the default SIGPIPE action
@@ -49,7 +51,7 @@ import signal
 import sys
 from typing import Sequence
 
-from . import chern, milnor, planner, polytope
+from . import __version__, chern, milnor, planner, polytope
 from .arith import prime_power_check
 
 # Frozen expected values for the reproduce command; reproduction fails loudly
@@ -76,6 +78,9 @@ _MILNOR_MAX_N = 400
 _SWEEP_MAX_N = 150
 
 Result = tuple[dict, dict, dict[str, bool]]
+
+# The parts of a report's ``meta`` that cannot change within a process.
+_VERSIONS = {"cobforge_version": __version__, "python": sys.version.split()[0]}
 
 
 def _sweep_top() -> int:
@@ -444,6 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.json:
             report = {
                 "command": command,
+                "meta": {**_VERSIONS, "COBFORGE_MAX_N": os.environ.get("COBFORGE_MAX_N")},
                 "inputs": inputs,
                 "outputs": outputs,
                 "checks": [{"name": name, "passed": bool(ok)} for name, ok in checks.items()],

@@ -89,18 +89,20 @@ def construct_plan(n: int) -> ModificationPlan:
     ``milnor_novikov_check`` asks for.  With b_k = -s_kn(n, k) and
     m = n+1, a plan solves m*a - sum(c_k * b_k) = t, and the twist a >= 1 is
     free, so only sum(c_k * b_k) = -t mod m is constrained.  This is a
-    Dijkstra over the m residues mod m from 0: each positive b_k is an edge
-    of step b_k mod m and cost (n-1) + (k+1)(n-k-1), the vertices one
-    type-k modification adds to the polytope (``polytope.plan_vertex_count``
-    sums the same term).  It stops
+    Dijkstra over the m residues mod m from 0: a positive b_k steps by
+    b_k mod m at cost (n-1) + (k+1)(n-k-1), the vertices one type-k
+    modification adds to the polytope (``polytope.plan_vertex_count`` sums
+    the same term).  Each nonzero step is one edge, the cheapest b_k with
+    that step (the lowest k on a tie); a step of 0 is no edge.  It stops
     when it pops the goal residue -t mod m; the predecessor links give the
     counts, and a = (sum(c_k * b_k) + t)/m >= 1.  So the plan's polytope has
     the fewest vertices of any plan over positive b_k, and a may be large
     (up to 40 digits for n <= 100).  A prime n+1 needs no modification.
 
-    Cost: O(m * K * log(m * K)) heap steps for the K positive b_k, after one
-    walk of the row; every n <= 400 plans in well under 1 s.  Only n < 3 is
-    refused.  A goal residue the positive b_k cannot reach raises
+    Cost: O(m * K * log(m * K)) heap steps for the K distinct nonzero steps
+    (K <= n - 1: at most one per k), after one walk of the row; every
+    n <= 400 plans in well under 1 s.  Only n < 3 is refused.  A goal
+    residue the positive b_k cannot reach raises
     ``ValueError``; it happens for no 3 <= n <= 400 (tested).
     """
     _require_ints((n,), "n must be an integer")
@@ -112,7 +114,16 @@ def construct_plan(n: int) -> ModificationPlan:
     goal = -t % m
 
     row = [-s for s in milnor.s_kn_row(n)]
-    edges = [(b % m, _step_vertex_count(n, k), k) for k, b in enumerate(row) if b > 0]
+    # one edge per nonzero step: the cheapest, the lowest k on a tie (step 0
+    # is a self-loop that never relaxes)
+    cheapest: dict[int, tuple[int, int]] = {}
+    for k, b in enumerate(row):
+        step = b % m
+        if b > 0 and step:
+            cost = _step_vertex_count(n, k)
+            if step not in cheapest or cost < cheapest[step][0]:
+                cheapest[step] = (cost, k)
+    edges = [(step, cost, k) for step, (cost, k) in cheapest.items()]
     dist: list[int | None] = [None] * m
     pred: list[tuple[int, int] | None] = [None] * m
     dist[0] = 0

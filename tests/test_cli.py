@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cobforge
 from cobforge import cli, planner, polytope
 from cobforge.cli import main
 from cobforge.milnor import s_kn
@@ -558,12 +560,28 @@ def test_report_contract(tmp_path, monkeypatch, capsys, cli_inputs, argv):
     words = argv.format(**cli_inputs).split()
     rc = main(words + ["--json", str(out)])
     report = read_json(out)
-    assert set(report) == {"command", "inputs", "outputs", "checks"}
+    assert set(report) == {"command", "meta", "inputs", "outputs", "checks"}
     assert report["command"] == argv.split(" --")[0]
+    assert report["meta"] == {
+        "cobforge_version": cobforge.__version__,
+        "python": platform.python_version(),
+        "COBFORGE_MAX_N": "4",
+    }
     passed = [c["passed"] for c in report["checks"]]
     assert report["checks"] and (rc == 0) == all(passed)
     summary = f"{report['command']}: {sum(passed)}/{len(passed)} checks passed"
     assert summary in capsys.readouterr().out
+
+
+def test_report_meta_names_an_unset_cap_null(tmp_path, monkeypatch):
+    # the raw environment value: null when unset, even where a default applies
+    monkeypatch.delenv("COBFORGE_MAX_N", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["gcd-check", "--n", "14", "--json", str(out)]) == 0
+    assert read_json(out)["meta"]["COBFORGE_MAX_N"] is None
+    monkeypatch.setenv("COBFORGE_MAX_N", " 16")
+    assert main(["gcd-check", "--n", "14", "--json", str(out)]) == 0
+    assert read_json(out)["meta"]["COBFORGE_MAX_N"] == " 16"
 
 
 # A valid n = 4 plan with no modifications; each malformed variant below ran

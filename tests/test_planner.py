@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import time
 from math import gcd
 
@@ -15,7 +16,7 @@ from cobforge.planner import (
     milnor_novikov_check,
     verify_plan,
 )
-from cobforge.polytope import check_plan_size, plan_vertex_count
+from cobforge.polytope import _step_vertex_count, check_plan_size, plan_vertex_count
 
 
 def test_milnor_novikov_pinned():
@@ -127,6 +128,80 @@ def test_construct_plan_unreachable_goal_names_n(monkeypatch):
         construct_plan(14)
 
 
+def plan_on_every_positive_entry(n):
+    """(counts, a, predicted_milnor) from the Dijkstra with one edge per positive b_k.
+
+    The edge list before one edge per nonzero step: steps of 0 mod n+1 and
+    dearer edges of a shared step stay in, so this pins the tie rule.
+    """
+    m = n + 1
+    t = target(n)
+    goal = -t % m
+    row = [-s for s in s_kn_row(n)]
+    edges = [(b % m, _step_vertex_count(n, k), k) for k, b in enumerate(row) if b > 0]
+    dist = [None] * m
+    pred = [None] * m
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if r == goal:
+            break
+        if d > dist[r]:
+            continue
+        for step, cost, k in edges:
+            s, nd = (r + step) % m, d + cost
+            if dist[s] is None or nd < dist[s]:
+                dist[s], pred[s] = nd, (r, k)
+                heapq.heappush(heap, (nd, s))
+    counts = [0] * (n - 1)
+    r = goal
+    while r:
+        r, k = pred[r]
+        counts[k] += 1
+    reached = sum(c * b for c, b in zip(counts, row))
+    a = (reached + t) // m
+    return tuple(counts), a, m * a - reached
+
+
+def test_construct_plan_matches_every_positive_entry_dijkstra():
+    for n in range(3, 401):
+        plan = construct_plan(n)
+        assert (plan.counts, plan.a, plan.predicted_milnor) == plan_on_every_positive_entry(n), n
+
+
+def patched_row(monkeypatch, n, entries):
+    """Make s_kn_row(n) give b_k = entries[k] (b_k = -s_kn) and b = -1 elsewhere."""
+    row = [-entries.get(k, -1) for k in range(n - 1)]
+    monkeypatch.setattr(planner.milnor, "s_kn_row", lambda _: iter(row))
+
+
+def test_construct_plan_keeps_the_cheaper_edge_of_a_step(monkeypatch):
+    # n = 14: b_1 = 14 and b_12 = 29 both step 14 = goal; k = 12 adds
+    # 13 + 13 * 1 = 26 vertices, k = 1 adds 13 + 2 * 12 = 37
+    assert _step_vertex_count(14, 12) < _step_vertex_count(14, 1)
+    patched_row(monkeypatch, 14, {1: 14, 12: 29})
+    plan = construct_plan(14)
+    assert plan.counts == (0,) * 12 + (1,)
+    assert (plan.a, plan.predicted_milnor) == (2, 1)
+
+
+def test_construct_plan_keeps_the_lower_k_on_a_tie(monkeypatch):
+    # k = 0 and k = 12 each add 26 vertices at n = 14, and both step 14
+    assert _step_vertex_count(14, 0) == _step_vertex_count(14, 12)
+    patched_row(monkeypatch, 14, {0: 14, 12: 29})
+    plan = construct_plan(14)
+    assert plan.counts == (1,) + (0,) * 12
+    assert (plan.a, plan.predicted_milnor) == (1, 1)
+
+
+def test_construct_plan_step_zero_is_no_edge(monkeypatch):
+    # positive b_k that are all multiples of 15 step from residue 0 to 0
+    patched_row(monkeypatch, 14, {0: 15, 5: 30, 12: 45})
+    with pytest.raises(ValueError, match="n = 14"):
+        construct_plan(14)
+
+
 def test_construct_plan_base_matches_oracle():
     plan = construct_plan(14)
     assert milnor_projectivisation(plan.base) == plan.base_milnor
@@ -159,20 +234,24 @@ def test_verify_plan_zero_counts():
 
 
 def test_verify_plan_detects_tampering():
-    plan = construct_plan(14)
-    bumped = list(plan.counts)
-    bumped[3] += 1
-    tampered = dataclasses.replace(plan, counts=tuple(bumped))
-    assert not verify_plan(tampered)
-    wrong_total = dataclasses.replace(plan, predicted_milnor=2)
-    assert not verify_plan(wrong_total)
-    # the sum identity still holds; only the oracle on the base can object
-    shifted = dataclasses.replace(
-        plan,
-        base_milnor=plan.base_milnor + 1000,
-        predicted_milnor=plan.predicted_milnor + 1000,
-    )
-    assert not verify_plan(shifted)
+    for n in (14, 20, 44):
+        plan = construct_plan(n)
+        assert verify_plan(plan), n
+        # one more modification of any type k, with the prediction unchanged
+        for k in range(n - 1):
+            bumped = list(plan.counts)
+            bumped[k] += 1
+            tampered = dataclasses.replace(plan, counts=tuple(bumped))
+            assert not verify_plan(tampered), (n, k)
+        wrong_total = dataclasses.replace(plan, predicted_milnor=2)
+        assert not verify_plan(wrong_total), n
+        # the sum identity still holds; only the oracle on the base can object
+        shifted = dataclasses.replace(
+            plan,
+            base_milnor=plan.base_milnor + 1000,
+            predicted_milnor=plan.predicted_milnor + 1000,
+        )
+        assert not verify_plan(shifted), n
 
 
 def test_plan_shape_validation():
