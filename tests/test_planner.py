@@ -121,18 +121,14 @@ def test_positive_row_entries_and_n_plus_one_have_gcd_one():
         assert target(n) % g == 0, n
 
 
-def test_construct_plan_unreachable_goal_names_n(monkeypatch):
-    # no positive b_k: no step leaves residue 0, and the goal -1 mod 15 is not 0
-    monkeypatch.setattr(planner.milnor, "s_kn_row", lambda n: iter([1] * (n - 1)))
-    with pytest.raises(ValueError, match="n = 14"):
-        construct_plan(14)
 
 
 def plan_on_every_positive_entry(n):
     """(counts, a, predicted_milnor) from the Dijkstra with one edge per positive b_k.
 
-    The edge list before one edge per nonzero step: steps of 0 mod n+1 and
-    dearer edges of a shared step stay in, so this pins the tie rule.
+    Steps of 0 mod n+1 and dearer edges of a shared step are edges here too;
+    ``construct_plan`` leaves them out and must give the same plan, which
+    pins its tie rule (the cheapest edge of a step, then the lowest k).
     """
     m = n + 1
     t = target(n)
@@ -195,11 +191,13 @@ def test_construct_plan_keeps_the_lower_k_on_a_tie(monkeypatch):
     assert (plan.a, plan.predicted_milnor) == (1, 1)
 
 
-def test_construct_plan_step_zero_is_no_edge(monkeypatch):
-    # positive b_k that are all multiples of 15 step from residue 0 to 0
-    patched_row(monkeypatch, 14, {0: 15, 5: 30, 12: 45})
-    with pytest.raises(ValueError, match="n = 14"):
-        construct_plan(14)
+def test_construct_plan_unreachable_goal_names_n(monkeypatch):
+    # no step leaves residue 0, and the goal -1 mod 15 is not 0: first no
+    # positive b_k, then positive b_k that are all multiples of 15 (step 0)
+    for entries in ({}, {0: 15, 5: 30, 12: 45}):
+        patched_row(monkeypatch, 14, entries)
+        with pytest.raises(ValueError, match="n = 14"):
+            construct_plan(14)
 
 
 def test_construct_plan_base_matches_oracle():
