@@ -235,7 +235,7 @@ def cmd_polytope_cut_face(args: argparse.Namespace) -> Result:
     result = polytope._cut_named_face(p, cut)
     facets = sorted(cut.defining_facets)
     inputs = {"infile": args.infile, "facets": facets}
-    expected = len(p.vertices) + len(cut.vertex_set) * (cut.codim - 1)
+    expected = len(p.vertices) + len(cut.vertex_set) * (len(facets) - 1)
     return _cut_report(args.out, inputs, f"cut face {facets}", result, expected)
 
 
@@ -301,14 +301,13 @@ def cmd_polytope_rigidity(args: argparse.Namespace) -> Result:
     print(f"shared h-vector: {list(rep.h_first)}")
     print(f"milnor deltas: k=0 gives {rep.delta_point}, k={args.n - 2} gives {rep.delta_top}")
     outputs = {
-        "facet_bijection": list(rep.facet_bijection) if rep.iso_found else None,
+        "facet_bijection": list(rep.facet_bijection),
         "h_vector": list(rep.h_first),
         "delta_point": str(rep.delta_point),
         "delta_top": str(rep.delta_top),
     }
     carried = polytope.carries_vertices(rep.facet_bijection, rep.first, rep.last)
     checks = {
-        "iso_found": rep.iso_found,
         "bijection_carries_vertices": carried,
         "h_vectors_equal": rep.h_match,
         "deltas_differ": rep.deltas_differ,

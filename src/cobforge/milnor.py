@@ -52,10 +52,17 @@ def s_dkn_row(n: int) -> Iterator[int]:
     c_i = C(n-1, i).  Both sums follow k by one step:
     c_k = c_(k-1) * (n-k) / k (exact), A_k = A_(k-1) + (-2)^k * c_k and
     B_k = 2*B_(k-1) + (-1)^k * c_k.  The row is lazy, so a consumer that
-    stops early (``coprimality_check``) pays only for what it reads.
+    stops early (``coprimality_check``) pays only for what it reads; n is
+    checked at the call, before the first entry is asked for.
     """
+    _require_ints((n,), "dimension n must be an integer")
     if n < 2:
         raise ValueError("dimension n must be >= 2")
+    return _s_dkn_row(n)
+
+
+def _s_dkn_row(n: int) -> Iterator[int]:
+    """``s_dkn_row`` on an ``int`` n >= 2, which its callers have checked."""
     sign_n = 1 if n % 2 == 0 else -1
     c, two_k, a_sum, b_sum = 1, 1, 0, 0
     for k in range(n - 1):
@@ -71,7 +78,7 @@ def s_dkn_row(n: int) -> Iterator[int]:
 def s_dkn(n: int, k: int) -> int:
     """Milnor number of the two-stage blow-up correction space: entry k of ``s_dkn_row(n)``."""
     _check_range(n, k)
-    return next(itertools.islice(s_dkn_row(n), k, None))
+    return next(itertools.islice(_s_dkn_row(n), k, None))
 
 
 def point_blowup_delta(n: int) -> int:
@@ -89,7 +96,7 @@ def s_kn_row(n: int) -> Iterator[int]:
     contributes -s_dkn(n, k).
     """
     delta = point_blowup_delta(n)
-    return (delta - s for s in s_dkn_row(n))
+    return (delta - s for s in _s_dkn_row(n))
 
 
 def s_kn(n: int, k: int) -> int:

@@ -14,10 +14,10 @@ of the exceptional divisor; the two cuts are one B_k step
 (``_Incidence.modify``).  ``apply_plan`` plays a whole modification plan on
 ``plan_base(n)``, the moment polytope of its base, and ``rigidity_demo``
 exhibits the pair of modifications with combinatorially equivalent polytopes
-but different Milnor-number changes, checked by ``carries_vertices``.
-``verify_complementary_equiv`` checks that equivalence for any vertex and k
-by its explicit bijection, the swap of the step's two new facets, without
-the ``comb_iso`` search.
+but different Milnor-number changes.  Both it and
+``verify_complementary_equiv`` (any vertex and k) take that equivalence from
+the cut rule: the swap of the step's two new facets, checked by
+``carries_vertices``, with no ``comb_iso`` search.
 
 All truncation goes through one private mutable incidence, ``_Incidence``,
 a vertex set whose ``cut`` is handed the vertices of the face it cuts and
@@ -168,7 +168,6 @@ class Face:
     """
 
     defining_facets: frozenset[int]
-    codim: int
     vertex_set: tuple[tuple[int, ...], ...]
 
 
@@ -187,7 +186,7 @@ def face(p: SimplePolytope, defining_facets: Iterable[int]) -> Face:
     verts = tuple(v for v in p.vertices if defining.issubset(v))
     if not verts:
         raise ValueError("the given facets have empty intersection")
-    return Face(defining_facets=defining, codim=len(defining), vertex_set=verts)
+    return Face(defining_facets=defining, vertex_set=verts)
 
 
 def simplex(n: int) -> SimplePolytope:
@@ -259,7 +258,7 @@ def _cut_named_face(p: SimplePolytope, target: Face) -> SimplePolytope:
     """``cut_face`` on a face of ``p`` that ``face`` has already named."""
     if p.dim < 2:
         raise ValueError("face truncation needs dimension >= 2")
-    if target.codim < 2:
+    if len(target.defining_facets) < 2:
         raise ValueError("face truncation needs codimension >= 2")
     incidence = _Incidence(p)
     incidence.cut(target.defining_facets, target.vertex_set)
@@ -505,9 +504,9 @@ def comb_iso(p: SimplePolytope, q: SimplePolytope) -> Optional[tuple[int, ...]]:
     graph isomorphism (Kaibel & Schwartz 2003), so the search is exact and
     its worst case is exponential in m; when the colouring is discrete it
     tries one candidate per facet.  A relabelled 10,006-facet polytope
-    (n = 3) took 0.34-0.55 s (Python 3.11, shared 2-vCPU host).  Its callers
-    are ``polytope iso`` and ``rigidity_demo``; ``verify_complementary_equiv``
-    has an explicit bijection and runs no search.
+    (n = 3) took 0.34-0.55 s (Python 3.11, shared 2-vCPU host).  Its caller
+    is ``polytope iso``; ``verify_complementary_equiv`` and ``rigidity_demo``
+    have an explicit bijection and run no search.
     """
     m = p.facet_count
     if p.dim != q.dim or m != q.facet_count or len(p.vertices) != len(q.vertices):
@@ -766,7 +765,7 @@ class RigidityReport:
     """Isomorphic polytopes from the extreme modifications of a simplex.
 
     ``first`` and ``last`` are the moment polytopes of the k = 0 and k = n-2
-    modifications, and ``facet_bijection`` is ``comb_iso(first, last)``.
+    modifications, and ``facet_bijection`` is their swap (``_swap_new_facets``).
     ``delta_point`` and ``delta_top`` are their Milnor-number changes; they
     differ although the two polytopes are combinatorially equivalent, so no
     combinatorial invariant of the polytope can see the difference.
@@ -775,15 +774,11 @@ class RigidityReport:
     n: int
     first: SimplePolytope
     last: SimplePolytope
-    facet_bijection: Optional[tuple[int, ...]]
+    facet_bijection: tuple[int, ...]
     h_first: tuple[int, ...]
     h_last: tuple[int, ...]
     delta_point: int
     delta_top: int
-
-    @property
-    def iso_found(self) -> bool:
-        return self.facet_bijection is not None
 
     @property
     def h_match(self) -> bool:
@@ -797,23 +792,25 @@ class RigidityReport:
 def rigidity_demo(n: int) -> RigidityReport:
     """Compare the k = 0 and k = n-2 modifications of the n-simplex.
 
-    Both arise from truncating complementary faces (a vertex and the
-    opposite (n-2)-face) of the fresh facet after a vertex cut, so their
-    polytopes are combinatorially equivalent with equal h-vectors, while the
-    Milnor-number changes s_kn(n, 0) and s_kn(n, n-2) differ.  Both have
-    3n-1 vertices, so n with (3n-1) * 2^n past the f-vector limit (n >= 20)
-    is refused before any cut; n = 19 took 21-23 s and 175 MiB peak RSS
-    (Python 3.11, shared 2-vCPU host).
+    They are the two sides of one B_0 step on vertex 0, truncating
+    complementary faces (a vertex and the opposite (n-2)-face) of the fresh
+    facet, so their bijection is ``_swap_new_facets`` (proved in
+    ``verify_complementary_equiv``; no search), and each h-vector is taken
+    from its own polytope; the Milnor-number changes s_kn(n, 0) and
+    s_kn(n, n-2) differ.  Both have 3n-1 vertices, so n with (3n-1) * 2^n
+    past the f-vector limit (n >= 20) is refused before any cut; n = 19 took
+    21-23 s and 175 MiB peak RSS (Python 3.11, shared 2-vCPU host).
     """
     if n < 3:
         raise ValueError("rigidity demo needs n >= 3")
     _check_fvector_work(3 * n - 1, n)
-    first, last = _complementary_cuts(simplex(n), 0, 0)
+    p = simplex(n)
+    first, last = _complementary_cuts(p, 0, 0)
     return RigidityReport(
         n=n,
         first=first,
         last=last,
-        facet_bijection=comb_iso(first, last),
+        facet_bijection=_swap_new_facets(p),
         h_first=h_vector(first),
         h_last=h_vector(last),
         delta_point=milnor.s_kn(n, 0),

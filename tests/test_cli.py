@@ -619,14 +619,14 @@ def test_malformed_documents_exit_one(tmp_path, capsys, argv, document):
         assert err == f"error: plan document missing field {missing.pop()!r}\n"
 
 
-def test_polytope_rigidity(tmp_path):
+def test_polytope_rigidity(tmp_path, monkeypatch):
+    monkeypatch.setattr(polytope, "comb_iso", lambda p, q: pytest.fail("searched"))
     out = tmp_path / "rig.json"
     assert main(["polytope", "rigidity", "--n", "3", "--json", str(out)]) == 0
     report = read_json(out)
     assert report["outputs"]["delta_point"] == "-4"
     assert report["outputs"]["delta_top"] == "-2"
     assert [c["name"] for c in report["checks"]] == [
-        "iso_found",
         "bijection_carries_vertices",
         "h_vectors_equal",
         "deltas_differ",
@@ -646,10 +646,21 @@ def test_polytope_rigidity_refuses_past_work_limit(capsys, n):
 
 def test_polytope_rigidity_checks_bijection_outside_search(monkeypatch, capsys):
     # the identity is a facet permutation but not an isomorphism of the two cuts
-    monkeypatch.setattr(cli.polytope, "comb_iso", lambda p, q: tuple(range(p.facet_count)))
+    monkeypatch.setattr(polytope, "_swap_new_facets", lambda p: tuple(range(p.facet_count + 2)))
     assert main(["polytope", "rigidity", "--n", "3"]) == 1
-    out = capsys.readouterr().out
-    assert "[PASS] iso_found" in out and "[FAIL] bijection_carries_vertices" in out
+    assert "[FAIL] bijection_carries_vertices" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_polytope_rigidity_rejects_the_same_face_twice(monkeypatch, capsys, n):
+    # a modify that cuts side 0 on both sides builds one polytope twice, which
+    # the swap of the two new facets does not carry onto itself
+    modify = polytope._Incidence.modify
+    monkeypatch.setattr(
+        polytope._Incidence, "modify", lambda self, vertex, k, side: modify(self, vertex, k, 0)
+    )
+    assert main(["polytope", "rigidity", "--n", str(n)]) == 1
+    assert "[FAIL] bijection_carries_vertices" in capsys.readouterr().out
 
 
 def test_reproduce_passes(tmp_path, monkeypatch, capsys):

@@ -87,8 +87,10 @@ def test_s_dkn_row_matches_oracle(n):
 
 
 def test_s_dkn_row_range_error():
-    with pytest.raises(ValueError):
-        next(s_dkn_row(1))
+    # refused at the call, before the lazy row is asked for an entry
+    for n in (1, 2.5, True, "4"):
+        with pytest.raises(ValueError):
+            s_dkn_row(n)
 
 
 def test_s_kn_odd_dimensions_computable():
@@ -136,14 +138,14 @@ def test_coprimality_reads_the_row_lazily(monkeypatch):
     # gcd_list stops at the first gcd of 1: for n = 20000 (n+1 = 3 * 59 * 113)
     # that is k = 113, so 114 of the row's 19,999 entries are built
     read = []
-    row = milnor.s_dkn_row
+    row = milnor._s_dkn_row
 
     def counted(n):
         for value in row(n):
             read.append(value)
             yield value
 
-    monkeypatch.setattr(milnor, "s_dkn_row", counted)
+    monkeypatch.setattr(milnor, "_s_dkn_row", counted)
     assert coprimality_check(20000) == (1, True)
     assert len(read) == 114
 

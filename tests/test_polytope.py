@@ -200,7 +200,7 @@ def test_internal_constructions_check_no_integer_twice(monkeypatch):
 def test_face_lookup():
     s = simplex(3)
     f = face(s, [0, 1])
-    assert f.codim == 2 and len(f.vertex_set) == 2
+    assert f.defining_facets == {0, 1} and len(f.vertex_set) == 2
     with pytest.raises(ValueError):
         face(s, [])
     with pytest.raises(ValueError):
@@ -624,6 +624,15 @@ def test_complementary_equiv_rejects_the_same_face_twice(monkeypatch):
     assert pairs == 14
 
 
+def test_search_finds_the_swap_on_the_rigidity_pair():
+    # the B_0 step on vertex 0 of the simplex, rigidity_demo's pair, at every n
+    # it accepts: comb_iso returns exactly the swap that rigidity_demo reports
+    for n in range(3, 20):
+        p = simplex(n)
+        first, last = polytope._complementary_cuts(p, 0, 0)
+        assert comb_iso(first, last) == polytope._swap_new_facets(p), n
+
+
 def test_modify_cuts_the_named_face_on_each_side():
     # After the vertex cut, side 0 is the face of the first k+1 fresh vertices
     # in canonical order and side 1 the face of the other n-k-1, both found
@@ -914,9 +923,11 @@ def test_apply_plan_dimension_mismatch():
 
 
 @pytest.mark.parametrize("n", range(3, 7))
-def test_rigidity_demo(n):
+def test_rigidity_demo(monkeypatch, n):
+    # the bijection comes from the cut rule, not from a search
+    monkeypatch.setattr(polytope, "comb_iso", lambda p, q: pytest.fail("searched"))
     rep = rigidity_demo(n)
-    assert rep.iso_found
+    assert rep.facet_bijection == (*range(n + 1), n + 2, n + 1)  # g <-> h
     assert rep.h_match
     assert rep.deltas_differ
     assert rep.delta_point == s_kn(n, 0)
@@ -932,7 +943,7 @@ def test_rigidity_demo_refuses_past_work_limit(monkeypatch):
     limit = polytope._FVECTOR_WORK_LIMIT
     assert (3 * 19 - 1) << 19 <= limit < (3 * 20 - 1) << 20
     monkeypatch.setattr(polytope, "_FVECTOR_WORK_LIMIT", (3 * 5 - 1) << 5)
-    assert rigidity_demo(5).iso_found
+    assert rigidity_demo(5).h_match
     monkeypatch.setattr(polytope, "_Incidence", None)  # refused before any cut
     with pytest.raises(ValueError, match="past the limit"):
         rigidity_demo(6)
