@@ -48,17 +48,14 @@ def _box(bounds: tuple[int, ...]) -> Iterable[Monomial]:
     return itertools.product(*(range(m + 1) for m in bounds))
 
 
-def _layout(bounds: tuple[int, ...]) -> Sequence[int]:
+def _layout(bounds: tuple[int, ...]) -> list[int]:
     """Carry-free positions of the box's monomials, in row-major order.
 
     Monomial e goes to sum(e_i * S_i) with S_r = 1 and S_i = S_(i+1) *
     (2*m_(i+1) + 1): exponents of two in-box monomials add digit by digit
     without a carry, so a product of two polynomials is the one-variable
-    product of their laid-out lists, read back at these positions.  With at
-    most one variable of positive bound the layout is the identity.
+    product of their laid-out lists, read back at these positions.
     """
-    if sum(1 for m in bounds if m) <= 1:
-        return range(math.prod(m + 1 for m in bounds))
     pos = [0]
     for m in bounds:
         pos = [p * (2 * m + 1) + e for p in pos for e in range(m + 1)]
@@ -466,7 +463,8 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
     for the conjugated trivial summand (else 0) and summand group g has
     degrees l_g and multiplicity m_g.  The base roots are x_i with
     multiplicity m_i + 1, so their N-th powers vanish exactly when N exceeds
-    every base dimension, which is required here.
+    every base dimension, as it does for every spec: fiber_dim >= 1 and every
+    m_i >= 0, so N = sum(m_i) + fiber_dim >= max(m_i) + 1.
 
     The pairing is taken group by group.  With S_h = (1 + l_h)^(-m_h) the
     Segre class is prod_h S_h, and (1 + l_g)^N * S_g = (1 + l_g)^(N - m_g),
@@ -481,10 +479,6 @@ def milnor_projectivisation(spec: ProjBundleSpec) -> int:
     n = spec.total_dim
     if n < 2:
         raise ValueError("total dimension must be >= 2")
-    if spec.base_dims and n <= max(spec.base_dims):
-        raise ValueError(
-            "base tangent contribution not implemented: need n > every base dimension"
-        )
     bounds = spec.base_dims
     segre = _segre_factors(spec)
     # c plus the multiplicity of each degree-0 group: the weight of top(prod_h S_h)

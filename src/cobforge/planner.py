@@ -28,8 +28,6 @@ class GeneratorVerdict:
     when |s| is 1 (n+1 not a prime power) or p (n+1 = p^e).
     """
 
-    n: int
-    s: int
     is_generator: bool
     required: str
 
@@ -41,9 +39,9 @@ def milnor_novikov_check(n: int, s: int) -> GeneratorVerdict:
         raise ValueError("dimension n must be >= 1")
     pp = prime_power_check(n + 1)
     if pp is None:
-        return GeneratorVerdict(n, s, abs(s) == 1, "s = +-1 (n+1 is not a prime power)")
+        return GeneratorVerdict(abs(s) == 1, "s = +-1 (n+1 is not a prime power)")
     p, e = pp
-    return GeneratorVerdict(n, s, abs(s) == p, f"s = +-{p} (n+1 = {p}^{e})")
+    return GeneratorVerdict(abs(s) == p, f"s = +-{p} (n+1 = {p}^{e})")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ facet models the follow-up blow-up along a k-dimensional invariant subspace
 of the exceptional divisor; the two cuts are one B_k step
 (``_Incidence.modify``).  ``apply_plan`` plays a whole modification plan on
 ``plan_base(n)``, the moment polytope of its base, and ``rigidity_demo``
-exhibits the pair of modifications with combinatorially equivalent polytopes
-but different Milnor-number changes.  Both it and
+builds the pair of modifications with combinatorially equivalent polytopes
+but different Milnor-number changes (the CLI reads those from ``milnor``;
+this module imports only ``arith``).  Both it and
 ``verify_complementary_equiv`` (any vertex and k) take that equivalence from
 the cut rule: the swap of the step's two new facets, checked by
 ``carries_vertices``, with no ``comb_iso`` search.
@@ -43,7 +44,6 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from . import milnor
 from .arith import _require_ints
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -616,6 +616,7 @@ def carries_vertices(
     """Checked outside the isomorphism search: ``mapping`` carries p's vertices onto q's."""
     return (
         mapping is not None
+        and len(mapping) == p.facet_count
         and len(p.vertices) == len(q.vertices)
         and {tuple(sorted(map(mapping.__getitem__, v))) for v in p.vertices} == set(q.vertices)
     )
@@ -766,27 +767,17 @@ class RigidityReport:
 
     ``first`` and ``last`` are the moment polytopes of the k = 0 and k = n-2
     modifications, and ``facet_bijection`` is their swap (``_swap_new_facets``).
-    ``delta_point`` and ``delta_top`` are their Milnor-number changes; they
-    differ although the two polytopes are combinatorially equivalent, so no
-    combinatorial invariant of the polytope can see the difference.
+    Their Milnor-number changes differ although the two polytopes are
+    combinatorially equivalent, so no combinatorial invariant of the polytope
+    can see the difference.  The report holds polytope facts only;
+    ``polytope rigidity`` reads the two changes from ``milnor``.
     """
 
-    n: int
     first: SimplePolytope
     last: SimplePolytope
     facet_bijection: tuple[int, ...]
     h_first: tuple[int, ...]
     h_last: tuple[int, ...]
-    delta_point: int
-    delta_top: int
-
-    @property
-    def h_match(self) -> bool:
-        return self.h_first == self.h_last
-
-    @property
-    def deltas_differ(self) -> bool:
-        return self.delta_point != self.delta_top
 
 
 def rigidity_demo(n: int) -> RigidityReport:
@@ -796,26 +787,17 @@ def rigidity_demo(n: int) -> RigidityReport:
     complementary faces (a vertex and the opposite (n-2)-face) of the fresh
     facet, so their bijection is ``_swap_new_facets`` (proved in
     ``verify_complementary_equiv``; no search), and each h-vector is taken
-    from its own polytope; the Milnor-number changes s_kn(n, 0) and
-    s_kn(n, n-2) differ.  Both have 3n-1 vertices, so n with (3n-1) * 2^n
+    from its own polytope.  Both have 3n-1 vertices, so n with (3n-1) * 2^n
     past the f-vector limit (n >= 20) is refused before any cut; n = 19 took
     21-23 s and 175 MiB peak RSS (Python 3.11, shared 2-vCPU host).
     """
+    _require_ints((n,), "rigidity dimension must be an integer")
     if n < 3:
         raise ValueError("rigidity demo needs n >= 3")
     _check_fvector_work(3 * n - 1, n)
     p = simplex(n)
     first, last = _complementary_cuts(p, 0, 0)
-    return RigidityReport(
-        n=n,
-        first=first,
-        last=last,
-        facet_bijection=_swap_new_facets(p),
-        h_first=h_vector(first),
-        h_last=h_vector(last),
-        delta_point=milnor.s_kn(n, 0),
-        delta_top=milnor.s_kn(n, n - 2),
-    )
+    return RigidityReport(first, last, _swap_new_facets(p), h_vector(first), h_vector(last))
 
 
 def to_dict(p: SimplePolytope) -> dict:

@@ -385,6 +385,15 @@ def test_comb_iso_distinguishes():
     assert comb_iso(p1, simplex(3)) is None
 
 
+def test_comb_iso_returns_none_when_the_search_runs_out(monkeypatch):
+    # equal dim, facet and vertex counts, and (with one colour for every facet)
+    # equal colour classes, so only the exhausted search can say no
+    p, q = cube(3), cut_vertex(product(simplex(1), simplex(2)), 0)
+    assert (p.dim, p.facet_count, len(p.vertices)) == (q.dim, q.facet_count, len(q.vertices))
+    monkeypatch.setattr(polytope, "_stable_colours", lambda degree, adj: [0] * len(degree))
+    assert comb_iso(p, q) is None
+
+
 def test_comb_iso_symmetric_and_consistent():
     s = simplex(3)
     q = cut_vertex(s, 0)
@@ -900,6 +909,7 @@ def test_apply_plan_vertex_limit(monkeypatch):
         apply_plan(toy_plan(4, (0, 1, 0)))  # 19 vertices
     monkeypatch.undo()
     # the default limit (10,000) refuses this 10,004-vertex plan before any cut
+    monkeypatch.setattr(polytope, "_plan_base", lambda n: pytest.fail("built the base"))
     assert plan_vertex_count(3, (2499, 0)) == 10_004
     with pytest.raises(ValueError, match="past the apply-plan limit"):
         apply_plan(toy_plan(3, (2499, 0)))
@@ -907,7 +917,7 @@ def test_apply_plan_vertex_limit(monkeypatch):
 
 def test_apply_plan_refuses_past_n_100_before_any_cut(monkeypatch):
     # zero counts: the base alone, 4(n-1) vertices, is under the vertex limit
-    monkeypatch.setattr(polytope, "plan_base", lambda n: pytest.fail("built the base"))
+    monkeypatch.setattr(polytope, "_plan_base", lambda n: pytest.fail("built the base"))
     with pytest.raises(ValueError, match="past the apply-plan range n <= 100"):
         apply_plan(toy_plan(101, [0] * 100))
 
@@ -928,10 +938,7 @@ def test_rigidity_demo(monkeypatch, n):
     monkeypatch.setattr(polytope, "comb_iso", lambda p, q: pytest.fail("searched"))
     rep = rigidity_demo(n)
     assert rep.facet_bijection == (*range(n + 1), n + 2, n + 1)  # g <-> h
-    assert rep.h_match
-    assert rep.deltas_differ
-    assert rep.delta_point == s_kn(n, 0)
-    assert rep.delta_top == s_kn(n, n - 2)
+    assert rep.h_first == rep.h_last
     # the report's polytopes are the ones its bijection and h-vectors describe
     assert (h_vector(rep.first), h_vector(rep.last)) == (rep.h_first, rep.h_last)
     mapped = {tuple(sorted(rep.facet_bijection[f] for f in v)) for v in rep.first.vertices}
@@ -943,10 +950,22 @@ def test_rigidity_demo_refuses_past_work_limit(monkeypatch):
     limit = polytope._FVECTOR_WORK_LIMIT
     assert (3 * 19 - 1) << 19 <= limit < (3 * 20 - 1) << 20
     monkeypatch.setattr(polytope, "_FVECTOR_WORK_LIMIT", (3 * 5 - 1) << 5)
-    assert rigidity_demo(5).h_match
+    rep = rigidity_demo(5)
+    assert rep.h_first == rep.h_last
     monkeypatch.setattr(polytope, "_Incidence", None)  # refused before any cut
     with pytest.raises(ValueError, match="past the limit"):
         rigidity_demo(6)
+
+
+def test_rigidity_demo_refuses_a_non_integer_n():
+    # 4.0 reached the f-vector work check and raised TypeError from <<
+    with pytest.raises(ValueError, match="rigidity dimension must be an integer"):
+        rigidity_demo(4.0)
+
+
+def test_carries_vertices_refuses_a_short_mapping():
+    # a mapping shorter than the facet count raised IndexError
+    assert not polytope.carries_vertices((0, 1), simplex(3), simplex(3))
 
 
 def test_rigidity_demo_refuses_huge_n_without_building_its_work_count():
@@ -961,11 +980,13 @@ def test_rigidity_demo_refuses_huge_n_without_building_its_work_count():
     assert peak < 2**20
 
 
-def test_rigidity_pinned_deltas():
-    r3 = rigidity_demo(3)
-    assert (r3.delta_point, r3.delta_top) == (-4, -2)
-    r4 = rigidity_demo(4)
-    assert (r4.delta_point, r4.delta_top) == (-10, -20)
+def test_rigidity_pinned_deltas(tmp_path, capsys):
+    # the Milnor-number changes come from the tables, in the CLI's report
+    for n, deltas in ((3, ("-4", "-2")), (4, ("-10", "-20"))):
+        out = tmp_path / f"rig{n}.json"
+        assert main(["polytope", "rigidity", "--n", str(n), "--json", str(out)]) == 0
+        outputs = json.loads(out.read_text(encoding="utf-8"))["outputs"]
+        assert (outputs["delta_point"], outputs["delta_top"]) == deltas
 
 
 # ----------------------------------------------------------------------- json
