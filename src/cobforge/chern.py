@@ -35,7 +35,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, le, mul
 from typing import Iterable, Sequence
 
 from .arith import _require_ints
@@ -48,56 +48,27 @@ def _box(bounds: tuple[int, ...]) -> Iterable[Monomial]:
     return itertools.product(*(range(m + 1) for m in bounds))
 
 
-def _layout(bounds: tuple[int, ...]) -> list[int]:
-    """Carry-free positions of the box's monomials, in row-major order.
+def _product(bounds: tuple[int, ...], x: list[int], y: list[int]) -> list[int]:
+    """The row-major list of x * y in the box ``bounds``, block by block.
 
-    Monomial e goes to sum(e_i * S_i) with S_r = 1 and S_i = S_(i+1) *
-    (2*m_(i+1) + 1): exponents of two in-box monomials add digit by digit
-    without a carry, so a product of two polynomials is the one-variable
-    product of their laid-out lists, read back at these positions.
+    Block i of a list holds its terms in x_1^i, a list on ``bounds[1:]``.
+    Block i of x times block j of y lands in block i + j, and is dropped
+    once i + j > m_1; each block product is the same rule on the remaining
+    variables, down to one variable (a truncated convolution) or none.
     """
-    pos = [0]
-    for m in bounds:
-        pos = [p * (2 * m + 1) + e for p in pos for e in range(m + 1)]
-    return pos
-
-
-def _span(x: list[int]) -> int:
-    """Length of ``x`` without its trailing zeros."""
-    n = len(x)
-    while n and not x[n - 1]:
-        n -= 1
-    return n
-
-
-def _spread(dense: list[int], pos: Sequence[int]) -> list[int]:
-    """A row-major coefficient list laid out at the carry-free positions ``pos``."""
-    if len(pos) == pos[-1] + 1:  # no gaps
-        return dense
-    out = [0] * (pos[-1] + 1)
-    for p, c in zip(pos, dense):
-        out[p] = c
+    if not bounds:
+        return [x[0] * y[0]]
+    m, rest = bounds[0], bounds[1:]
+    if not rest:
+        return [sum(map(mul, x[: j + 1], y[j::-1])) for j in range(m + 1)]
+    size = len(x) // (m + 1)
+    out = [0] * len(x)
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            block = _product(rest, x[i * size : (i + 1) * size], y[j * size : (j + 1) * size])
+            k = (i + j) * size
+            out[k : k + size] = map(add, out[k : k + size], block)
     return out
-
-
-def _gather(laid_out: list[int], pos: Sequence[int]) -> list[int]:
-    """The row-major coefficient list read back from its carry-free layout."""
-    return laid_out if len(laid_out) == len(pos) else [laid_out[p] for p in pos]
-
-
-def _convolve(x: list[int], y: list[int]) -> list[int]:
-    """One-variable product of x and y, truncated to len(x) = len(y) terms.
-
-    Term j is sum_t x_t * y_(j-t) over the t where neither factor is a
-    trailing zero; ``map`` stops at the shorter of the two runs.
-    """
-    size = len(x)
-    x = x[: _span(x)]
-    y_rev = y[: _span(y)][::-1]
-    ys = len(y_rev)
-    prod = [sum(map(mul, x, y_rev[ys - 1 - j :])) for j in range(min(ys, size))]
-    prod += [sum(map(mul, x[j - ys + 1 :], y_rev)) for j in range(ys, min(size, len(x) + ys - 1))]
-    return prod + [0] * (size - len(prod))
 
 
 def _checked_bounds(bounds: Iterable[int]) -> tuple[int, ...]:
@@ -121,8 +92,8 @@ def _linear_power(bounds: tuple[int, ...], degrees: tuple[int, ...], exponent: i
     integer for every integer N); the first entry of each row comes the same
     way from e - u_j, j the last variable with e_j > 0, which row-major
     order visits earlier.  That is O(L * r) big-integer steps for L
-    coefficients and r variables, where one product of two lists, or an
-    inverse, is O(L^2).
+    coefficients and r variables, where a product of two lists takes up to
+    O(L^2) multiply-adds and an inverse O(L * T), T the nonzero terms.
     """
     dense = [1] + [0] * (math.prod(m + 1 for m in bounds) - 1)
     if not bounds:
@@ -237,19 +208,13 @@ class TruncatedPoly:
     __radd__ = __add__
 
     def __mul__(self, other) -> "TruncatedPoly":
-        """Truncated product; an integer factor scales every coefficient.
-
-        Both factors are laid out carry-free (see ``_layout``), multiplied as
-        one-variable polynomials and read back inside the box.
-        """
+        """Truncated product (``_product``); an integer factor scales every coefficient."""
         if isinstance(other, int):
             return TruncatedPoly._of(self.bounds, [c * other for c in self.dense])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        pos = _layout(self.bounds)
-        prod = _convolve(_spread(self.dense, pos), _spread(other.dense, pos))
-        return TruncatedPoly._of(self.bounds, _gather(prod, pos))
+        return TruncatedPoly._of(self.bounds, _product(self.bounds, self.dense, other.dense))
 
     __rmul__ = __mul__
 
@@ -258,24 +223,22 @@ def poly_inverse(a: TruncatedPoly) -> TruncatedPoly:
     """Multiplicative inverse of a unit (constant term c0 = +1 or -1).
 
     One pass that solves a * b = 1 term by term: b_0 = c0 and
-    b_e = -c0 * sum_(0 < f <= e) a_f * b_(e-f).  The terms are visited in
-    row-major order, which (like total-degree order) reaches e only after
-    every f < e; on the carry-free layout of ``_layout`` the sum is one dot
-    product, and the positions outside the box stay 0.  The cost is O(L^2)
-    multiply-adds for L = prod(m_i + 1) coefficients (up to a factor 2^r
-    from the layout's gaps when r variables have positive bounds).
+    b_e = -c0 * sum_(0 < f <= e) a_f * b_(e-f), over the nonzero a_f.  The
+    terms are visited in row-major order, which reaches e only after every
+    f < e, and the row-major index is linear in the exponent, so b_(e-f)
+    sits at index idx(e) - idx(f).  The cost is O(L * T) multiply-adds for
+    L = prod(m_i + 1) coefficients and T nonzero terms of a, independent of
+    ``__mul__``.
     """
     c0 = a.constant_term()
     if c0 not in (1, -1):
         raise ValueError("inverse requires constant term +1 or -1")
-    pos = _layout(a.bounds)
-    x = _spread(a.dense, pos)
-    x_rev, top, xs = x[::-1], len(x) - 1, _span(x)
-    inv = [0] * len(x)
-    for e in pos:
-        lo = max(0, e - xs + 1)
-        inv[e] = c0 * ((e == 0) - sum(map(mul, inv[lo:e], x_rev[top - e + lo :])))
-    return TruncatedPoly._of(a.bounds, _gather(inv, pos))
+    terms = [(j, f, c) for j, (f, c) in enumerate(zip(_box(a.bounds), a.dense)) if j and c]
+    inv: list[int] = []
+    for i, e in enumerate(_box(a.bounds)):
+        s = sum(c * inv[i - j] for j, f, c in terms if all(map(le, f, e)))
+        inv.append(c0 * ((i == 0) - s))
+    return TruncatedPoly._of(a.bounds, inv)
 
 
 @dataclass(frozen=True)

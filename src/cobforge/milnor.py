@@ -122,13 +122,13 @@ def coprimality_check(n: int) -> tuple[int, bool]:
     ``gcd_list`` consumes ``s_kn_row`` lazily and stops at a gcd of 1, since
     the row entries grow like 2^n: n = 20000 stops after 114 of 19,999
     entries, where a list would build them all.  Odd n is rejected: the
-    construction this feeds only consumes even dimensions; ``s_kn_row``
-    refuses n < 2.
+    construction this feeds only consumes even dimensions, after
+    ``s_kn_row`` has checked that n is an integer >= 2.
     """
-    _require_ints((n,), "dimension n must be an integer")
+    row = s_kn_row(n)
     if n % 2:
         raise ValueError("coprimality check applies to even n only")
-    g = gcd_list(s_kn_row(n))
+    g = gcd_list(row)
     return g, g == 1
 
 
@@ -147,6 +147,7 @@ def witness_k(n: int, p: int) -> tuple[int, int]:
     (``binomial_mod_p``), so no big binomial is formed; it is verified
     nonzero, so the CLI's ``L_not_divisible`` check cannot pass vacuously.
     """
+    _require_ints((n, p), "n and p must be integers")
     if n % 2:
         raise ValueError("witness search applies to even n only")
     if p < 2 or (n + 1) % p:

@@ -203,6 +203,11 @@ NON_INTEGER_CALLS = [
     (L_kn, (6, 2.0)),
     (witness_k, (14, 5.0)),
     (witness_k, (14.0, 5)),
+    (witness_k, ("14", 5)),
+    (witness_k, (None, 5)),
+    (witness_k, (14, "5")),
+    (witness_k, (14, None)),
+    (witness_k, (True, 3)),
     (construct_plan, (14.0,)),
     (binomial_mod_p, (5, 2, 3.0)),
     (is_prime, (5.0,)),

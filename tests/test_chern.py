@@ -167,6 +167,27 @@ def test_ring_axioms_randomized():
         assert _top_of_product(a.dense, b.dense) == integrate_top(a * b)
 
 
+def product_by_monomials(a, b):
+    """The dense list of a * b, summed monomial by monomial and truncated to the box."""
+    terms = Counter()
+    for e, c in a.coeffs.items():
+        for f, d in b.coeffs.items():
+            g = tuple(i + j for i, j in zip(e, f))
+            if all(i <= m for i, m in zip(g, a.bounds)):
+                terms[g] += c * d
+    return [terms[g] for g in chern._box(a.bounds)]
+
+
+def test_mul_matches_the_product_monomial_by_monomial():
+    # every coefficient, on boxes of 0-4 variables with zero bounds among them
+    rng = random.Random(3434)
+    for _ in range(400):
+        bounds = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
+        max_terms = rng.choice((2, 8, 30))
+        a, b = (random_poly(rng, bounds, max_terms=max_terms) for _ in "ab")
+        assert (a * b).dense == product_by_monomials(a, b), (bounds, a.dense, b.dense)
+
+
 # Test-only reference: the plain loop that the one-pass inverse replaces.
 
 
@@ -483,8 +504,8 @@ def test_builders_check_their_two_integers_once(monkeypatch):
         assert type(got.base_dims) is tuple and all(type(s) is tuple for s in got.summands)
 
 
-# The kernel on negative exponents, against the O(L^2) inverse of the
-# positive power; and the Segre factors behind fiber_integral, against the
+# The kernel on negative exponents, against the O(L * T) inverse of the
+# positive power (T its nonzero terms); and the Segre factors behind fiber_integral, against the
 # inverse of the total Chern class.
 
 

@@ -150,6 +150,20 @@ def test_coprimality_reads_the_row_lazily(monkeypatch):
     assert len(read) == 114
 
 
+def test_coprimality_checks_n_once(monkeypatch):
+    # s_kn_row's check is the only one: coprimality_check makes no second
+    calls = []
+    check = milnor._require_ints
+
+    def counted(values, message):
+        calls.append(message)
+        return check(values, message)
+
+    monkeypatch.setattr(milnor, "_require_ints", counted)
+    assert coprimality_check(20) == (1, True)
+    assert calls == ["dimension n must be an integer"]
+
+
 def test_coprimality_rejects_odd():
     with pytest.raises(ValueError):
         coprimality_check(13)
